@@ -10,6 +10,7 @@ use vcs_bench::{bench_game, bench_pool, equilibrate};
 use vcs_core::ids::UserId;
 use vcs_core::response::best_route_set;
 use vcs_core::{potential, Profile};
+use vcs_obs::Obs;
 use vcs_runtime::{run_sync, run_threaded, SchedulerKind};
 
 fn bench_primitives(c: &mut Criterion) {
@@ -109,10 +110,12 @@ fn bench_runtimes(c: &mut Criterion) {
     group.sample_size(10);
     for scheduler in [SchedulerKind::Suu, SchedulerKind::Puu] {
         group.bench_function(format!("sync_{scheduler:?}"), |b| {
-            b.iter(|| black_box(run_sync(&game, scheduler, 3, 1_000_000).slots))
+            b.iter(|| black_box(run_sync(&game, scheduler, 3, 1_000_000, &Obs::disabled()).slots))
         });
         group.bench_function(format!("threaded_{scheduler:?}"), |b| {
-            b.iter(|| black_box(run_threaded(&game, scheduler, 3, 1_000_000).slots))
+            b.iter(|| {
+                black_box(run_threaded(&game, scheduler, 3, 1_000_000, &Obs::disabled()).slots)
+            })
         });
     }
     group.finish();

@@ -31,7 +31,7 @@ use vcs_core::ids::{RouteId, UserId};
 use vcs_core::{Engine, Game, Profile};
 use vcs_obs::{causal_neighborhood, stamp_of, trace, Event, JsonlSubscriber, Obs};
 use vcs_runtime::sync_runtime::spawn_agents;
-use vcs_runtime::{run_threaded_observed, SchedulerKind};
+use vcs_runtime::{run_threaded, SchedulerKind};
 
 /// Frames shown on each side of the divergent move in the causal dump.
 const NEIGHBORHOOD_RADIUS: usize = 6;
@@ -109,7 +109,7 @@ fn record(trace_path: &Path, users: usize, seed: u64) -> Result<ReplayMeta, Stri
     let subscriber =
         Arc::new(JsonlSubscriber::create(trace_path).map_err(|e| format!("create trace: {e}"))?);
     let obs = Obs::new(subscriber.clone());
-    let outcome = run_threaded_observed(&game, SchedulerKind::Puu, meta.seed, meta.max_slots, &obs);
+    let outcome = run_threaded(&game, SchedulerKind::Puu, meta.seed, meta.max_slots, &obs);
     subscriber
         .flush()
         .map_err(|e| format!("flush trace: {e}"))?;

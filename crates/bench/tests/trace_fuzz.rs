@@ -28,7 +28,7 @@ use vcs_core::{Engine, Game, Profile};
 use vcs_obs::trace::{event_to_json, parse_line};
 use vcs_obs::{validate_causal_order_merged, Event, Obs, RingBufferSubscriber, StampedStream};
 use vcs_runtime::sync_runtime::spawn_agents;
-use vcs_runtime::{run_threaded_observed, SchedulerKind};
+use vcs_runtime::{run_threaded, SchedulerKind};
 use vcs_shard::{localized_game, BoundaryFrame, ShardConfig, ShardedSim, FRAME_LEN};
 
 // ---------------------------------------------------------------------------
@@ -83,7 +83,7 @@ fn recorded_run() -> &'static (Game, Vec<RecordedMove>, u64) {
         let game = synthetic_game(120, 120, 11);
         let ring = Arc::new(RingBufferSubscriber::new(1 << 18));
         let obs = Obs::new(ring.clone());
-        run_threaded_observed(&game, SchedulerKind::Puu, seed, 200_000, &obs);
+        run_threaded(&game, SchedulerKind::Puu, seed, 200_000, &obs);
         let moves = extract_moves(&ring.events());
         assert!(moves.len() > 20, "corpus run must commit moves");
         (game, moves, seed)

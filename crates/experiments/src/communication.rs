@@ -11,6 +11,7 @@ use crate::common::build_game;
 use crate::context::Ctx;
 use crate::report::{fmt3, Report};
 use vcs_metrics::replicate;
+use vcs_obs::Obs;
 use vcs_runtime::{run_sync, SchedulerKind};
 use vcs_scenario::{replicate_seed, Dataset, ScenarioParams};
 
@@ -36,7 +37,7 @@ pub fn ablation_communication(ctx: &Ctx) -> Report {
             let rows = replicate(ctx.reps, |rep| {
                 let seed = replicate_seed(ctx.base_seed, TAG_COMM, rep);
                 let game = build_game(&pool, n_users, 40, seed, ScenarioParams::default());
-                let out = run_sync(&game, scheduler, seed, 1_000_000);
+                let out = run_sync(&game, scheduler, seed, 1_000_000, &Obs::disabled());
                 debug_assert!(out.converged);
                 (
                     out.slots as f64,

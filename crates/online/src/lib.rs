@@ -26,8 +26,9 @@
 //! monotone. See DESIGN.md §11.
 //!
 //! The same event streams also drive the message-passing runtimes through
-//! the `Join`/`Leave` protocol frames (`vcs_runtime::run_sync_churn`,
-//! `vcs_runtime::run_threaded_churn`).
+//! the `Join`/`Leave` protocol frames: pass [`EventStream::batches`] to
+//! `vcs_runtime::run_sync_churn` or `vcs_runtime::run_threaded_churn`,
+//! together with an `&Obs` (`&Obs::disabled()` to run unobserved).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -17,8 +17,10 @@
 //! append-only order, so a generated `Leave { user }` always refers to a
 //! user that is active at that point of the stream. This is what lets the
 //! same stream drive both the engine-level [`crate::OnlineSim`] and the
-//! message-passing runtimes (`vcs_runtime::run_sync_churn` /
-//! `run_threaded_churn`) without translation.
+//! message-passing runtimes without translation: its
+//! [`batches`](EventStream::batches) are the `epochs` argument of
+//! `vcs_runtime::run_sync_churn(game, scheduler, seed, max_slots, epochs,
+//! obs)` and of `run_threaded_churn`, which takes the same arguments.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};

@@ -17,11 +17,18 @@
 //! * [`resilience`] — the protocol under message loss (stop-and-wait
 //!   retransmission, provably outcome-preserving) and under stale
 //!   information (periodic count refresh, still Nash-terminating).
+//!
+//! The sync, threaded and lossy runtimes share one platform loop and differ
+//! only in the link that carries their frames; their churn variants wrap
+//! the same loop in epoch brackets. Every runner takes an [`vcs_obs::Obs`]
+//! as its last argument (`&Obs::disabled()` to run unobserved; a
+//! [`vcs_obs::LiveMonitor`]'s `obs()` to serve `/metrics` during the run).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod agent;
+mod driver;
 pub mod net;
 pub mod platform;
 pub mod protocol;
@@ -33,17 +40,9 @@ pub mod threaded;
 pub use agent::{LocalRoute, UserAgent};
 pub use platform::{PlatformState, SchedulerKind};
 pub use protocol::{CodecError, PlatformMsg, UserMsg};
-pub use resilience::{
-    run_lossy, run_lossy_observed, run_stale, run_stale_observed, LossConfig, LossStats,
-};
+pub use resilience::{run_lossy, run_stale, LossConfig, LossStats};
 pub use serve::{
     RejectReason, ServeReply, ServeReplyBody, ServeRequest, ServeRequestBody, ANY_SHARD,
 };
-pub use sync_runtime::{
-    run_sync, run_sync_churn, run_sync_churn_observed, run_sync_observed, ChurnOutcome,
-    RuntimeOutcome, Telemetry,
-};
-pub use threaded::{
-    run_threaded, run_threaded_churn, run_threaded_churn_monitored, run_threaded_churn_observed,
-    run_threaded_monitored, run_threaded_observed,
-};
+pub use sync_runtime::{run_sync, run_sync_churn, ChurnOutcome, RuntimeOutcome, Telemetry};
+pub use threaded::{run_threaded, run_threaded_churn};

@@ -116,10 +116,10 @@ pub fn http_get(
     let mut stream = connect_with_backoff(addr, 5, Duration::from_millis(20))?;
     stream.set_read_timeout(Some(timeout))?;
     stream.set_write_timeout(Some(timeout))?;
-    write!(
-        stream,
-        "GET {path} HTTP/1.1\r\nHost: vcs\r\nConnection: close\r\n\r\n"
-    )?;
+    // One buffer, one `write_all`: a peer that reads the request with a
+    // single `read` must not see it split across several segments.
+    let request = format!("GET {path} HTTP/1.1\r\nHost: vcs\r\nConnection: close\r\n\r\n");
+    stream.write_all(request.as_bytes())?;
     stream.flush()?;
     let mut response = String::new();
     stream.read_to_string(&mut response)?;
@@ -191,11 +191,16 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
             let (mut conn, _) = listener.accept().unwrap();
+            // Read the whole request head: closing with unread request
+            // bytes in the socket would reset the connection.
+            let mut request = Vec::new();
             let mut buf = [0u8; 512];
-            let n = conn.read(&mut buf).unwrap();
-            assert!(std::str::from_utf8(&buf[..n])
-                .unwrap()
-                .starts_with("GET /metrics "));
+            while !request.windows(4).any(|w| w == b"\r\n\r\n") {
+                let n = conn.read(&mut buf).unwrap();
+                assert!(n > 0, "client closed before ending its request");
+                request.extend_from_slice(&buf[..n]);
+            }
+            assert!(request.starts_with(b"GET /metrics "));
             let body = "vcs_ok 1\n";
             write!(
                 conn,

@@ -3,28 +3,30 @@
 //! Two "future work" conditions the paper's deployment sketch would face:
 //!
 //! * **Message loss** ([`run_lossy`]): every frame is dropped i.i.d. with a
-//!   seeded probability; the platform retransmits until delivery. Because
+//!   seeded probability; the sender retransmits until delivery. Because
 //!   the protocol's messages are idempotent (re-sent `Counts` carry the same
 //!   state; a re-sent `Grant` is re-acknowledged with the current route),
 //!   the delivered sequence equals the lossless one — the run produces the
 //!   **identical outcome**, paying only in retransmissions. This is tested,
-//!   not assumed.
+//!   not assumed. The lossy channel is the in-process link of
+//!   [`crate::sync_runtime`] with a loss model; the platform loop is the
+//!   shared one.
 //! * **Stale information** ([`run_stale`]): the platform refreshes the
 //!   participant counts only every `refresh_every` slots; between refreshes
 //!   agents decide on cached (possibly outdated) counts. Termination still
 //!   requires a quiet fresh-count slot, so the final profile remains a
-//!   verified Nash equilibrium; staleness only costs extra slots.
+//!   verified Nash equilibrium; staleness only costs extra slots. Its window
+//!   rules and `Deny` frames give it a slot loop of its own, over the same
+//!   in-process link, setup and teardown.
 
-use crate::agent::UserAgent;
+use crate::driver::Driver;
 use crate::platform::{PlatformState, SchedulerKind};
 use crate::protocol::{PlatformMsg, UserMsg};
-use crate::sync_runtime::{spawn_agents, RuntimeOutcome, Telemetry};
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
+use crate::sync_runtime::{InProcess, RuntimeOutcome};
 use serde::{Deserialize, Serialize};
-use vcs_core::ids::{RouteId, UserId};
+use vcs_core::ids::UserId;
 use vcs_core::Game;
-use vcs_obs::{Event, FrameStamper, Obs, ResponseKind, PLATFORM_SENDER};
+use vcs_obs::{Event, Obs, ResponseKind, PLATFORM_SENDER};
 
 /// Loss-model configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -58,298 +60,28 @@ pub struct LossStats {
     pub retransmissions: usize,
 }
 
-/// Delivers one request/response exchange over the lossy channel with
-/// retransmission until both directions succeed, mirroring a
-/// stop-and-wait ARQ. Returns the reply (if the message type elicits one).
-#[allow(clippy::too_many_arguments)] // transport state, not an API
-fn deliver_arq(
-    agent: &mut UserAgent,
-    msg: &PlatformMsg,
-    expects_reply: bool,
-    loss_rng: &mut StdRng,
-    loss: &LossConfig,
-    stats: &mut LossStats,
-    telemetry: &mut Telemetry,
-    stamper: &mut FrameStamper,
-    obs: &Obs,
-) -> Option<UserMsg> {
-    let agent_id = agent.id.index() as u32;
-    let mut attempts = 0u64;
-    loop {
-        attempts += 1;
-        assert!(
-            attempts as usize <= loss.max_retries + 1,
-            "channel never delivered after {attempts} attempts"
-        );
-        if attempts > 1 {
-            stats.retransmissions += 1;
-            // The retransmission decision is a local step at the platform
-            // (it drives the stop-and-wait timer for both legs).
-            let stamp = stamper.local(PLATFORM_SENDER);
-            obs.emit(|| Event::Retransmission {
-                attempt: attempts as u32,
-                seq: stamp.seq,
-                lamport: stamp.lamport,
-            });
-        }
-        // Platform → agent leg.
-        let frame = msg.encode();
-        telemetry.platform_msgs += 1;
-        telemetry.platform_bytes += frame.len();
-        let tx = stamper.send(PLATFORM_SENDER);
-        obs.emit(|| Event::FrameSent {
-            bytes: frame.len() as u32,
-            seq: tx.seq,
-            lamport: tx.lamport,
-        });
-        if loss_rng.random_range(0.0..1.0) < loss.drop_probability {
-            stats.dropped_frames += 1;
-            // The channel annihilated the frame: the drop inherits the TX
-            // stamp — nothing at the receiver advanced.
-            obs.emit(|| Event::FrameDropped {
-                bytes: frame.len() as u32,
-                seq: tx.seq,
-                lamport: tx.lamport,
-            });
-            continue; // timeout ⇒ retransmit
-        }
-        let rx = stamper.receive(agent_id, tx);
-        obs.emit(|| Event::FrameReceived {
-            bytes: frame.len() as u32,
-            seq: rx.seq,
-            lamport: rx.lamport,
-        });
-        let decoded = PlatformMsg::decode(frame).expect("self-encoded frame decodes");
-        let reply = agent.handle(decoded);
-        if !expects_reply {
-            // Fire-and-forget messages (Init/Terminate) are covered by
-            // the retransmit loop only up to delivery of the request leg.
-            debug_assert!(reply.is_none());
-            return None;
-        }
-        let reply = reply.expect("message type elicits a reply");
-        // Agent → platform leg.
-        let reply_frame = reply.encode();
-        telemetry.user_msgs += 1;
-        telemetry.user_bytes += reply_frame.len();
-        let tx = stamper.send(agent_id);
-        obs.emit(|| Event::FrameSent {
-            bytes: reply_frame.len() as u32,
-            seq: tx.seq,
-            lamport: tx.lamport,
-        });
-        if loss_rng.random_range(0.0..1.0) < loss.drop_probability {
-            stats.dropped_frames += 1;
-            obs.emit(|| Event::FrameDropped {
-                bytes: reply_frame.len() as u32,
-                seq: tx.seq,
-                lamport: tx.lamport,
-            });
-            continue; // reply lost ⇒ platform re-sends the request
-        }
-        let rx = stamper.receive(PLATFORM_SENDER, tx);
-        obs.emit(|| Event::FrameReceived {
-            bytes: reply_frame.len() as u32,
-            seq: rx.seq,
-            lamport: rx.lamport,
-        });
-        return Some(UserMsg::decode(reply_frame).expect("self-encoded frame decodes"));
-    }
-}
-
 /// Runs the protocol over a lossy channel with stop-and-wait retransmission.
 /// Returns the outcome plus loss statistics. The outcome's profile, slots
 /// and updates equal the lossless [`crate::sync_runtime::run_sync`] run with
-/// the same protocol seed (only telemetry grows).
+/// the same protocol seed (only telemetry grows). Besides everything the
+/// lossless runtimes emit, `obs` receives `FrameDropped` per channel drop
+/// and `Retransmission` per stop-and-wait retry (the `attempt` field is the
+/// 1-based attempt number of that frame, so the first retransmission of a
+/// frame carries `attempt: 2`).
+///
+/// # Panics
+///
+/// Panics when the drop probability lies outside `[0, 1)`, or when a frame
+/// is still undelivered after `max_retries` retransmissions.
 pub fn run_lossy(
     game: &Game,
     scheduler: SchedulerKind,
     seed: u64,
     max_slots: usize,
     loss: &LossConfig,
-) -> (RuntimeOutcome, LossStats) {
-    run_lossy_observed(game, scheduler, seed, max_slots, loss, &Obs::disabled())
-}
-
-/// [`run_lossy`] with an observability handle: everything the lossless
-/// observed runtimes emit, plus `FrameDropped` per channel drop and
-/// `Retransmission` per stop-and-wait retry (the `attempt` field is the
-/// 1-based attempt number of that frame, so the first retransmission of a
-/// frame carries `attempt: 2`).
-pub fn run_lossy_observed(
-    game: &Game,
-    scheduler: SchedulerKind,
-    seed: u64,
-    max_slots: usize,
-    loss: &LossConfig,
     obs: &Obs,
 ) -> (RuntimeOutcome, LossStats) {
-    assert!(
-        (0.0..1.0).contains(&loss.drop_probability),
-        "drop probability must lie in [0, 1)"
-    );
-    let mut agents = spawn_agents(game, seed);
-    let mut loss_rng = StdRng::seed_from_u64(loss.seed);
-    let mut stats = LossStats::default();
-    let mut telemetry = Telemetry::default();
-    let mut stamper = FrameStamper::new();
-    // Initial decisions travel over the lossy uplink too (agents re-announce
-    // until the platform has everyone's choice).
-    let mut initial = vec![RouteId(0); game.user_count()];
-    for agent in agents.iter() {
-        let agent_id = agent.id.index() as u32;
-        let mut attempts = 0;
-        loop {
-            attempts += 1;
-            assert!(
-                attempts <= loss.max_retries + 1,
-                "initial decision never arrived"
-            );
-            if attempts > 1 {
-                stats.retransmissions += 1;
-                let attempt = attempts as u32;
-                // Re-announcement is the agent's own timer firing.
-                let stamp = stamper.local(agent_id);
-                obs.emit(|| Event::Retransmission {
-                    attempt,
-                    seq: stamp.seq,
-                    lamport: stamp.lamport,
-                });
-            }
-            let frame = agent.initial_message().encode();
-            telemetry.user_msgs += 1;
-            telemetry.user_bytes += frame.len();
-            let tx = stamper.send(agent_id);
-            obs.emit(|| Event::FrameSent {
-                bytes: frame.len() as u32,
-                seq: tx.seq,
-                lamport: tx.lamport,
-            });
-            if loss_rng.random_range(0.0..1.0) < loss.drop_probability {
-                stats.dropped_frames += 1;
-                obs.emit(|| Event::FrameDropped {
-                    bytes: frame.len() as u32,
-                    seq: tx.seq,
-                    lamport: tx.lamport,
-                });
-                continue;
-            }
-            let rx = stamper.receive(PLATFORM_SENDER, tx);
-            obs.emit(|| Event::FrameReceived {
-                bytes: frame.len() as u32,
-                seq: rx.seq,
-                lamport: rx.lamport,
-            });
-            match UserMsg::decode(frame).expect("self-encoded frame decodes") {
-                UserMsg::Initial { user, route } => initial[user.index()] = route,
-                other => panic!("expected Initial, got {other:?}"),
-            }
-            break;
-        }
-    }
-    let mut platform = PlatformState::new(game, scheduler, seed, initial);
-    platform.set_obs(obs.clone());
-    for agent in agents.iter_mut() {
-        let msg = platform.init_msg_for(agent.id);
-        deliver_arq(
-            agent,
-            &msg,
-            false,
-            &mut loss_rng,
-            loss,
-            &mut stats,
-            &mut telemetry,
-            &mut stamper,
-            obs,
-        );
-    }
-    let mut converged = false;
-    while platform.slots < max_slots {
-        // Dirty-set poll, same as the lossless runtimes: only agents whose
-        // standing reply may have changed are re-queried over the channel.
-        for user in platform.dirty_users() {
-            let msg = platform.counts_msg_for(user);
-            let reply = deliver_arq(
-                &mut agents[user.index()],
-                &msg,
-                true,
-                &mut loss_rng,
-                loss,
-                &mut stats,
-                &mut telemetry,
-                &mut stamper,
-                obs,
-            )
-            .expect("counts elicit a reply");
-            obs.emit(|| Event::ResponseEvaluated {
-                user: user.index() as u32,
-                kind: ResponseKind::Best,
-                improving: matches!(reply, UserMsg::Request { .. }),
-            });
-            platform.record_reply(user, &reply);
-        }
-        let requests = platform.collect_requests();
-        if requests.is_empty() {
-            converged = true;
-            break;
-        }
-        let granted = platform.select(&requests);
-        // Only granted users hear back; standing requests need no Deny.
-        for &g in &granted {
-            let user = requests[g].user;
-            let reply = deliver_arq(
-                &mut agents[user.index()],
-                &PlatformMsg::Grant,
-                true,
-                &mut loss_rng,
-                loss,
-                &mut stats,
-                &mut telemetry,
-                &mut stamper,
-                obs,
-            )
-            .expect("grant elicits an update confirmation");
-            match reply {
-                UserMsg::Updated { user, route } => platform.apply_update(user, route),
-                other => panic!("expected Updated, got {other:?}"),
-            }
-        }
-        obs.emit(|| Event::SlotCompleted {
-            slot: platform.slots as u64,
-            updated: granted.len() as u32,
-            phi: platform.potential(),
-            total_profit: platform.total_profit(),
-        });
-    }
-    for agent in agents.iter_mut() {
-        deliver_arq(
-            agent,
-            &PlatformMsg::Terminate,
-            false,
-            &mut loss_rng,
-            loss,
-            &mut stats,
-            &mut telemetry,
-            &mut stamper,
-            obs,
-        );
-    }
-    obs.emit(|| Event::RunCompleted {
-        slots: platform.slots as u64,
-        updates: platform.updates as u64,
-        converged,
-        phi: platform.potential(),
-    });
-    (
-        RuntimeOutcome {
-            slots: platform.slots,
-            updates: platform.updates,
-            profile: platform.into_profile(),
-            converged,
-            telemetry,
-        },
-        stats,
-    )
+    Driver::start(game, scheduler, seed, InProcess::lossy(loss), obs).run(max_slots)
 }
 
 /// Runs the protocol with periodic count refresh: agents receive fresh
@@ -366,28 +98,12 @@ pub fn run_lossy_observed(
 /// strictly increases and convergence is restored. Termination additionally
 /// requires an empty request set **on a fresh-count slot**, so the final
 /// profile is a Nash equilibrium.
+///
+/// `obs` receives frame events for every exchanged frame (a stale slot's
+/// self-computed request counts as an uplink frame, matching telemetry),
+/// `ResponseEvaluated` per agent decision, `SlotCompleted` per slot and the
+/// engine's per-commit events.
 pub fn run_stale(
-    game: &Game,
-    scheduler: SchedulerKind,
-    seed: u64,
-    max_slots: usize,
-    refresh_every: usize,
-) -> RuntimeOutcome {
-    run_stale_observed(
-        game,
-        scheduler,
-        seed,
-        max_slots,
-        refresh_every,
-        &Obs::disabled(),
-    )
-}
-
-/// [`run_stale`] with an observability handle: frame events for every
-/// exchanged frame (stale-slot self-computed requests count as uplink
-/// frames, matching telemetry), `ResponseEvaluated` per agent decision,
-/// `SlotCompleted` per slot and the engine's per-commit events.
-pub fn run_stale_observed(
     game: &Game,
     scheduler: SchedulerKind,
     seed: u64,
@@ -396,77 +112,12 @@ pub fn run_stale_observed(
     obs: &Obs,
 ) -> RuntimeOutcome {
     assert!(refresh_every >= 1, "refresh period must be at least 1");
-    let mut agents = spawn_agents(game, seed);
-    let mut telemetry = Telemetry::default();
-    let mut stamper = FrameStamper::new();
-    let mut initial = vec![RouteId(0); game.user_count()];
-    for agent in agents.iter() {
-        let frame = agent.initial_message().encode();
-        telemetry.user_msgs += 1;
-        telemetry.user_bytes += frame.len();
-        let tx = stamper.send(agent.id.index() as u32);
-        obs.emit(|| Event::FrameSent {
-            bytes: frame.len() as u32,
-            seq: tx.seq,
-            lamport: tx.lamport,
-        });
-        let rx = stamper.receive(PLATFORM_SENDER, tx);
-        obs.emit(|| Event::FrameReceived {
-            bytes: frame.len() as u32,
-            seq: rx.seq,
-            lamport: rx.lamport,
-        });
-        match UserMsg::decode(frame).expect("self-encoded frame decodes") {
-            UserMsg::Initial { user, route } => initial[user.index()] = route,
-            other => panic!("expected Initial, got {other:?}"),
-        }
-    }
-    let mut platform = PlatformState::new(game, scheduler, seed, initial);
-    platform.set_obs(obs.clone());
-    let deliver = |agent: &mut UserAgent,
-                   msg: &PlatformMsg,
-                   telemetry: &mut Telemetry,
-                   stamper: &mut FrameStamper| {
-        let agent_id = agent.id.index() as u32;
-        let frame = msg.encode();
-        telemetry.platform_msgs += 1;
-        telemetry.platform_bytes += frame.len();
-        let tx = stamper.send(PLATFORM_SENDER);
-        obs.emit(|| Event::FrameSent {
-            bytes: frame.len() as u32,
-            seq: tx.seq,
-            lamport: tx.lamport,
-        });
-        let rx = stamper.receive(agent_id, tx);
-        obs.emit(|| Event::FrameReceived {
-            bytes: frame.len() as u32,
-            seq: rx.seq,
-            lamport: rx.lamport,
-        });
-        let reply = agent.handle(PlatformMsg::decode(frame).expect("decodes"));
-        reply.map(|r| {
-            let f = r.encode();
-            telemetry.user_msgs += 1;
-            telemetry.user_bytes += f.len();
-            let tx = stamper.send(agent_id);
-            obs.emit(|| Event::FrameSent {
-                bytes: f.len() as u32,
-                seq: tx.seq,
-                lamport: tx.lamport,
-            });
-            let rx = stamper.receive(PLATFORM_SENDER, tx);
-            obs.emit(|| Event::FrameReceived {
-                bytes: f.len() as u32,
-                seq: rx.seq,
-                lamport: rx.lamport,
-            });
-            UserMsg::decode(f).expect("decodes")
-        })
-    };
-    for agent in agents.iter_mut() {
-        let msg = platform.init_msg_for(agent.id);
-        deliver(agent, &msg, &mut telemetry, &mut stamper);
-    }
+    let mut driver = Driver::start(game, scheduler, seed, InProcess::lossless(), obs);
+    let Driver {
+        platform,
+        link,
+        wire,
+    } = &mut driver;
     let mut converged = false;
     let mut round = 0usize;
     // Window state: which users moved and which tasks were touched since the
@@ -481,34 +132,21 @@ pub fn run_stale_observed(
             touched.fill(false);
         }
         let mut requests = Vec::new();
-        let mut requesters = Vec::new();
-        for agent in agents.iter_mut() {
+        for user in (0..game.user_count()).map(UserId::from_index) {
             let reply = if fresh {
-                let msg = platform.counts_msg_for(agent.id);
-                deliver(agent, &msg, &mut telemetry, &mut stamper).expect("counts elicit a reply")
+                let msg = platform.counts_msg_for(user);
+                link.exchange(user, &msg, wire)
+                    .expect("counts elicit a reply")
             } else {
                 // Stale slot: the agent recomputes from its cached counts;
                 // no platform frame is sent.
-                let reply = agent.compute_request();
-                let f = reply.encode();
-                telemetry.user_msgs += 1;
-                telemetry.user_bytes += f.len();
-                let tx = stamper.send(agent.id.index() as u32);
-                obs.emit(|| Event::FrameSent {
-                    bytes: f.len() as u32,
-                    seq: tx.seq,
-                    lamport: tx.lamport,
-                });
-                let rx = stamper.receive(PLATFORM_SENDER, tx);
-                obs.emit(|| Event::FrameReceived {
-                    bytes: f.len() as u32,
-                    seq: rx.seq,
-                    lamport: rx.lamport,
-                });
-                UserMsg::decode(f).expect("decodes")
+                let agent = link.agents[user.index()].as_mut().expect("live agent");
+                let frame = agent.compute_request().encode();
+                wire.frame(user.index() as u32, PLATFORM_SENDER, frame.len());
+                UserMsg::decode(frame).expect("self-encoded frame decodes")
             };
             obs.emit(|| Event::ResponseEvaluated {
-                user: agent.id.index() as u32,
+                user: user.index() as u32,
                 kind: ResponseKind::Best,
                 improving: matches!(reply, UserMsg::Request { .. }),
             });
@@ -517,15 +155,12 @@ pub fn run_stale_observed(
                 // untouched tasks are eligible — their stale evaluation is
                 // exact, preserving the potential argument.
                 let eligible = fresh
-                    || (!moved[req.user.index()]
+                    || (!moved[user.index()]
                         && req.affected_tasks.iter().all(|t| !touched[t.index()]));
                 if eligible {
-                    requesters.push(agent.id);
                     requests.push(req);
                 } else {
-                    // The ineligible request came from this very agent.
-                    debug_assert_eq!(req.user, agent.id);
-                    deliver(agent, &PlatformMsg::Deny, &mut telemetry, &mut stamper);
+                    link.exchange(user, &PlatformMsg::Deny, wire);
                 }
             }
         }
@@ -537,49 +172,32 @@ pub fn run_stale_observed(
             continue; // quiet on stale info proves nothing; refresh and retry
         }
         let granted = platform.select(&requests);
-        let granted_users: Vec<UserId> = granted.iter().map(|&g| requests[g].user).collect();
-        for req in granted.iter().map(|&g| &requests[g]) {
-            moved[req.user.index()] = true;
-            for t in &req.affected_tasks {
+        for &g in &granted {
+            moved[requests[g].user.index()] = true;
+            for t in &requests[g].affected_tasks {
                 touched[t.index()] = true;
             }
         }
-        for &user in &requesters {
-            let verdict = if granted_users.contains(&user) {
+        // Every requester hears its verdict.
+        for (i, req) in requests.iter().enumerate() {
+            let verdict = if granted.contains(&i) {
                 PlatformMsg::Grant
             } else {
                 PlatformMsg::Deny
             };
-            let agent = &mut agents[user.index()];
-            if let Some(UserMsg::Updated { user, route }) =
-                deliver(agent, &verdict, &mut telemetry, &mut stamper)
+            if let Some(UserMsg::Updated { user, route }) = link.exchange(req.user, &verdict, wire)
             {
                 platform.apply_update(user, route);
             }
         }
         obs.emit(|| Event::SlotCompleted {
             slot: platform.slots as u64,
-            updated: granted_users.len() as u32,
+            updated: granted.len() as u32,
             phi: platform.potential(),
             total_profit: platform.total_profit(),
         });
     }
-    for agent in agents.iter_mut() {
-        deliver(agent, &PlatformMsg::Terminate, &mut telemetry, &mut stamper);
-    }
-    obs.emit(|| Event::RunCompleted {
-        slots: platform.slots as u64,
-        updates: platform.updates as u64,
-        converged,
-        phi: platform.potential(),
-    });
-    RuntimeOutcome {
-        slots: platform.slots,
-        updates: platform.updates,
-        profile: platform.into_profile(),
-        converged,
-        telemetry,
-    }
+    driver.finish(converged).0
 }
 
 #[cfg(test)]
@@ -594,13 +212,14 @@ mod tests {
         let game = fig1_instance();
         let mut total_dropped = 0;
         for seed in 0..5u64 {
-            let lossless = run_sync(&game, SchedulerKind::Puu, seed, 10_000);
+            let lossless = run_sync(&game, SchedulerKind::Puu, seed, 10_000, &Obs::disabled());
             let (lossy, stats) = run_lossy(
                 &game,
                 SchedulerKind::Puu,
                 seed,
                 10_000,
                 &LossConfig::hostile(seed.wrapping_add(99)),
+                &Obs::disabled(),
             );
             assert_eq!(lossy.profile, lossless.profile, "seed {seed}");
             assert_eq!(lossy.slots, lossless.slots);
@@ -631,8 +250,15 @@ mod tests {
             seed: 1,
             max_retries: 0,
         };
-        let (lossy, stats) = run_lossy(&game, SchedulerKind::Suu, 3, 10_000, &loss);
-        let reference = run_sync(&game, SchedulerKind::Suu, 3, 10_000);
+        let (lossy, stats) = run_lossy(
+            &game,
+            SchedulerKind::Suu,
+            3,
+            10_000,
+            &loss,
+            &Obs::disabled(),
+        );
+        let reference = run_sync(&game, SchedulerKind::Suu, 3, 10_000, &Obs::disabled());
         assert_eq!(lossy, reference);
         assert_eq!(stats, LossStats::default());
     }
@@ -642,7 +268,14 @@ mod tests {
         let game = fig1_instance();
         for refresh in [1usize, 2, 4] {
             for seed in 0..5u64 {
-                let out = run_stale(&game, SchedulerKind::Suu, seed, 10_000, refresh);
+                let out = run_stale(
+                    &game,
+                    SchedulerKind::Suu,
+                    seed,
+                    10_000,
+                    refresh,
+                    &Obs::disabled(),
+                );
                 assert!(out.converged, "refresh {refresh}, seed {seed}");
                 assert!(
                     is_nash(&game, &out.profile),
@@ -655,8 +288,8 @@ mod tests {
     #[test]
     fn refresh_one_equals_sync_runtime() {
         let game = fig1_instance();
-        let stale = run_stale(&game, SchedulerKind::Puu, 7, 10_000, 1);
-        let sync = run_sync(&game, SchedulerKind::Puu, 7, 10_000);
+        let stale = run_stale(&game, SchedulerKind::Puu, 7, 10_000, 1, &Obs::disabled());
+        let sync = run_sync(&game, SchedulerKind::Puu, 7, 10_000, &Obs::disabled());
         assert_eq!(stale.profile, sync.profile);
         assert_eq!(stale.slots, sync.slots);
     }
@@ -670,6 +303,6 @@ mod tests {
             seed: 0,
             max_retries: 10,
         };
-        let _ = run_lossy(&game, SchedulerKind::Suu, 0, 10, &loss);
+        let _ = run_lossy(&game, SchedulerKind::Suu, 0, 10, &loss, &Obs::disabled());
     }
 }

@@ -1,17 +1,24 @@
-//! Deterministic in-process runtime: agents and platform exchange **encoded**
-//! protocol frames, but everything runs on one thread in a fixed order. The
-//! reference implementation of the protocol; the threaded runtime must
-//! produce bit-identical results (tested in `tests/`).
+//! Deterministic in-process runtime: agents live on the platform's own
+//! thread, yet every protocol frame is still **encoded** and decoded, in a
+//! fixed order. The reference link of the shared platform loop; the
+//! threaded runtime must produce identical outcomes (tested in `tests/`).
+//!
+//! The same link carries the lossy runtime
+//! ([`run_lossy`](crate::resilience::run_lossy)): given a [`LossConfig`],
+//! its channel drops frames i.i.d. and the sending end of each exchange
+//! retransmits until delivery (stop-and-wait).
 
 use crate::agent::UserAgent;
-use crate::platform::{PlatformState, SchedulerKind};
+use crate::driver::{Driver, Link, Wire};
+use crate::platform::SchedulerKind;
 use crate::protocol::{PlatformMsg, UserMsg};
+use crate::resilience::LossConfig;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
 use vcs_core::ids::{RouteId, UserId};
 use vcs_core::{ChurnEvent, Game, Profile};
-use vcs_obs::{Event, FrameStamper, Obs, ResponseKind, SpanKind, PLATFORM_SENDER};
+use vcs_obs::{Obs, SpanKind, PLATFORM_SENDER};
 
 /// Communication telemetry of a protocol run: how many frames and bytes
 /// crossed the platform↔user boundary. The paper motivates the distributed
@@ -82,219 +89,155 @@ pub fn spawn_agents(game: &Game, seed: u64) -> Vec<UserAgent> {
         .collect()
 }
 
-/// Sends a platform message through the codec (encode + decode), counting
-/// frames/bytes in both directions and stamping every frame event with the
-/// sender's causal `(seq, lamport)` (see `vcs_obs::causal`). Panics only on
-/// codec bugs — the codec is total on well-formed messages.
-fn deliver_to_agent(
-    agent: &mut UserAgent,
-    msg: &PlatformMsg,
-    telemetry: &mut Telemetry,
-    stamper: &mut FrameStamper,
-    obs: &Obs,
-) -> Option<UserMsg> {
-    let agent_id = agent.id.index() as u32;
-    let frame = obs.time(SpanKind::FrameEncode, || msg.encode());
-    telemetry.platform_msgs += 1;
-    telemetry.platform_bytes += frame.len();
-    let bytes = frame.len();
-    let tx = stamper.send(PLATFORM_SENDER);
-    obs.emit(|| Event::FrameSent {
-        bytes: bytes as u32,
-        seq: tx.seq,
-        lamport: tx.lamport,
-    });
-    let decoded = obs.time(SpanKind::FrameDecode, || {
-        PlatformMsg::decode(frame).expect("self-encoded frame decodes")
-    });
-    let rx = stamper.receive(agent_id, tx);
-    obs.emit(|| Event::FrameReceived {
-        bytes: bytes as u32,
-        seq: rx.seq,
-        lamport: rx.lamport,
-    });
-    agent.handle(decoded).map(|reply| {
-        let reply_frame = obs.time(SpanKind::FrameEncode, || reply.encode());
-        telemetry.user_msgs += 1;
-        telemetry.user_bytes += reply_frame.len();
-        let bytes = reply_frame.len();
-        let tx = stamper.send(agent_id);
-        obs.emit(|| Event::FrameSent {
-            bytes: bytes as u32,
-            seq: tx.seq,
-            lamport: tx.lamport,
-        });
-        let decoded = obs.time(SpanKind::FrameDecode, || {
-            UserMsg::decode(reply_frame).expect("self-encoded frame decodes")
-        });
-        let rx = stamper.receive(PLATFORM_SENDER, tx);
-        obs.emit(|| Event::FrameReceived {
-            bytes: bytes as u32,
-            seq: rx.seq,
-            lamport: rx.lamport,
-        });
-        decoded
-    })
+/// The in-process link. Without a loss model every frame arrives; with
+/// one, each frame leg is dropped with the configured probability and
+/// retried.
+pub(crate) struct InProcess {
+    pub(crate) agents: Vec<Option<UserAgent>>,
+    loss: Option<(LossConfig, StdRng)>,
 }
 
-/// Counts (and observes) one uplink frame outside the request/reply helper:
-/// initial announcements and churn event frames. `sender` is the emitting
-/// user's id (the platform is always the receiver here).
-fn count_uplink(
-    frame_len: usize,
-    sender: u32,
-    telemetry: &mut Telemetry,
-    stamper: &mut FrameStamper,
-    obs: &Obs,
-) {
-    telemetry.user_msgs += 1;
-    telemetry.user_bytes += frame_len;
-    let tx = stamper.send(sender);
-    obs.emit(|| Event::FrameSent {
-        bytes: frame_len as u32,
-        seq: tx.seq,
-        lamport: tx.lamport,
-    });
-    let rx = stamper.receive(PLATFORM_SENDER, tx);
-    obs.emit(|| Event::FrameReceived {
-        bytes: frame_len as u32,
-        seq: rx.seq,
-        lamport: rx.lamport,
-    });
+impl InProcess {
+    /// A link on which every frame arrives.
+    pub(crate) fn lossless() -> Self {
+        Self {
+            agents: Vec::new(),
+            loss: None,
+        }
+    }
+
+    /// A link that drops frames as `loss` says.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the drop probability lies outside `[0, 1)`.
+    pub(crate) fn lossy(loss: &LossConfig) -> Self {
+        assert!(
+            (0.0..1.0).contains(&loss.drop_probability),
+            "drop probability must lie in [0, 1)"
+        );
+        Self {
+            agents: Vec::new(),
+            loss: Some((*loss, StdRng::seed_from_u64(loss.seed))),
+        }
+    }
+
+    /// Puts one frame on the channel; `false` when the channel dropped it.
+    fn leg(&mut self, sender: u32, receiver: u32, bytes: usize, wire: &mut Wire) -> bool {
+        let tx = wire.sent(sender, bytes);
+        if let Some((loss, rng)) = &mut self.loss {
+            if rng.random_range(0.0..1.0) < loss.drop_probability {
+                wire.dropped(tx, bytes);
+                return false;
+            }
+        }
+        wire.received(receiver, tx, bytes);
+        true
+    }
+
+    /// Counts one more attempt of a stop-and-wait exchange whose timer runs
+    /// at `timer`; every attempt after the first is a retransmission.
+    fn attempt(&self, attempts: &mut usize, timer: u32, wire: &mut Wire) {
+        *attempts += 1;
+        if let Some((loss, _)) = &self.loss {
+            assert!(
+                *attempts <= loss.max_retries + 1,
+                "channel never delivered after {attempts} attempts"
+            );
+        }
+        if *attempts > 1 {
+            wire.retransmission(timer, *attempts);
+        }
+    }
+
+    /// Delivers `msg` to `user` and returns the reply it elicits. The
+    /// platform re-sends `msg` until the request leg and, if there is one,
+    /// the reply leg arrive. Re-sending is safe because the protocol's
+    /// messages are idempotent: a repeated `Counts` carries the same state,
+    /// and a repeated `Grant` is re-acknowledged with the current route.
+    pub(crate) fn exchange(
+        &mut self,
+        user: UserId,
+        msg: &PlatformMsg,
+        wire: &mut Wire,
+    ) -> Option<UserMsg> {
+        let obs = wire.obs;
+        let id = user.index() as u32;
+        let mut attempts = 0;
+        loop {
+            self.attempt(&mut attempts, PLATFORM_SENDER, wire);
+            let frame = obs.time(SpanKind::FrameEncode, || msg.encode());
+            if !self.leg(PLATFORM_SENDER, id, frame.len(), wire) {
+                continue; // timeout ⇒ retransmit
+            }
+            let msg = obs.time(SpanKind::FrameDecode, || {
+                PlatformMsg::decode(frame).expect("self-encoded frame decodes")
+            });
+            let agent = self.agents[user.index()]
+                .as_mut()
+                .expect("message to a live agent");
+            let reply = agent.handle(msg)?;
+            let frame = obs.time(SpanKind::FrameEncode, || reply.encode());
+            if !self.leg(id, PLATFORM_SENDER, frame.len(), wire) {
+                continue; // reply lost ⇒ the platform re-sends the request
+            }
+            return Some(obs.time(SpanKind::FrameDecode, || {
+                UserMsg::decode(frame).expect("self-encoded frame decodes")
+            }));
+        }
+    }
 }
 
-/// Runs the full protocol to termination on a single thread.
+impl Link for InProcess {
+    fn admit(&mut self, agent: UserAgent, announce: bool, wire: &mut Wire) -> Option<UserMsg> {
+        let id = agent.id.index() as u32;
+        // The agent re-announces on its own timer until the platform has
+        // its choice.
+        let announcement = announce.then(|| {
+            let mut attempts = 0;
+            loop {
+                self.attempt(&mut attempts, id, wire);
+                let frame = agent.initial_message().encode();
+                if self.leg(id, PLATFORM_SENDER, frame.len(), wire) {
+                    break UserMsg::decode(frame).expect("self-encoded frame decodes");
+                }
+            }
+        });
+        debug_assert_eq!(self.agents.len(), agent.id.index());
+        self.agents.push(Some(agent));
+        announcement
+    }
+
+    fn round(
+        &mut self,
+        msgs: Vec<(UserId, PlatformMsg)>,
+        wire: &mut Wire,
+    ) -> Vec<(UserId, UserMsg)> {
+        msgs.into_iter()
+            .filter_map(|(user, msg)| Some((user, self.exchange(user, &msg, wire)?)))
+            .collect()
+    }
+
+    fn retire(&mut self, user: UserId) {
+        self.agents[user.index()] = None;
+    }
+}
+
+/// Runs the full protocol to termination on a single thread. `obs`
+/// receives frame-level TX/RX events for every protocol frame,
+/// `ResponseEvaluated` per dirty-agent poll, `SlotCompleted` per decision
+/// slot and the engine's per-commit events; observation never influences
+/// the protocol.
 pub fn run_sync(
     game: &Game,
     scheduler: SchedulerKind,
     seed: u64,
     max_slots: usize,
-) -> RuntimeOutcome {
-    run_sync_observed(game, scheduler, seed, max_slots, &Obs::disabled())
-}
-
-/// [`run_sync`] with an observability handle: frame-level TX/RX events for
-/// every protocol frame, `ResponseEvaluated` per dirty-agent poll,
-/// `SlotCompleted` per decision slot and the engine's per-commit events.
-/// With a disabled handle this *is* `run_sync` — observation never
-/// influences the protocol.
-pub fn run_sync_observed(
-    game: &Game,
-    scheduler: SchedulerKind,
-    seed: u64,
-    max_slots: usize,
     obs: &Obs,
 ) -> RuntimeOutcome {
-    let mut agents = spawn_agents(game, seed);
-    let mut telemetry = Telemetry::default();
-    let mut stamper = FrameStamper::new();
-    // Alg. 2 line 2: receive initial decisions.
-    let initial: Vec<RouteId> = agents
-        .iter()
-        .map(|a| {
-            let frame = a.initial_message().encode();
-            let len = frame.len();
-            let route = match UserMsg::decode(frame).unwrap() {
-                UserMsg::Initial { route, .. } => route,
-                other => panic!("unexpected initial message {other:?}"),
-            };
-            count_uplink(len, a.id.index() as u32, &mut telemetry, &mut stamper, obs);
-            route
-        })
-        .collect();
-    let mut platform = PlatformState::new(game, scheduler, seed, initial);
-    platform.set_obs(obs.clone());
-    // Alg. 2 line 4: send Init.
-    for agent in agents.iter_mut() {
-        let msg = platform.init_msg_for(agent.id);
-        let reply = deliver_to_agent(agent, &msg, &mut telemetry, &mut stamper, obs);
-        debug_assert!(reply.is_none());
-    }
-    let mut converged = false;
-    while platform.slots < max_slots {
-        // A poll round with no request terminates — not a decision slot, so
-        // the span is cancelled on that path.
-        let slot_span = obs.span(SpanKind::Slot);
-        // Slot: poll only the users whose standing reply the previous slot's
-        // moves may have changed (initially everyone); clean agents'
-        // cached requests are reused without any message exchange.
-        for user in platform.dirty_users() {
-            let msg = platform.counts_msg_for(user);
-            let reply = deliver_to_agent(
-                &mut agents[user.index()],
-                &msg,
-                &mut telemetry,
-                &mut stamper,
-                obs,
-            )
-            .expect("counts always answered");
-            obs.emit(|| Event::ResponseEvaluated {
-                user: user.index() as u32,
-                kind: ResponseKind::Best,
-                improving: matches!(reply, UserMsg::Request { .. }),
-            });
-            platform.record_reply(user, &reply);
-        }
-        let requests = platform.collect_requests();
-        if requests.is_empty() {
-            converged = true;
-            slot_span.cancel();
-            break;
-        }
-        let granted = platform.select(&requests);
-        // Only granted users hear back; a standing request needs no Deny —
-        // it simply stays cached until granted or invalidated by a fresh
-        // poll. (`pending` on the agent keeps matching the cached request
-        // because only a new `Counts` overwrites it.)
-        for &g in &granted {
-            let user = requests[g].user;
-            let agent = &mut agents[user.index()];
-            if let Some(UserMsg::Updated { user, route }) = deliver_to_agent(
-                agent,
-                &PlatformMsg::Grant,
-                &mut telemetry,
-                &mut stamper,
-                obs,
-            ) {
-                platform.apply_update(user, route);
-            }
-        }
-        slot_span.finish();
-        obs.emit(|| Event::SlotCompleted {
-            slot: platform.slots as u64,
-            updated: granted.len() as u32,
-            phi: platform.potential(),
-            total_profit: platform.total_profit(),
-        });
-    }
-    // Alg. 2 line 12: terminate everyone.
-    for agent in agents.iter_mut() {
-        let reply = deliver_to_agent(
-            agent,
-            &PlatformMsg::Terminate,
-            &mut telemetry,
-            &mut stamper,
-            obs,
-        );
-        debug_assert!(reply.is_none());
-    }
-    // Cross-check: the agents' local choices agree with the platform.
-    for agent in &agents {
-        debug_assert_eq!(agent.current, platform.profile().choice(agent.id));
-    }
-    obs.emit(|| Event::RunCompleted {
-        slots: platform.slots as u64,
-        updates: platform.updates as u64,
-        converged,
-        phi: platform.potential(),
-    });
-    RuntimeOutcome {
-        slots: platform.slots,
-        updates: platform.updates,
-        profile: platform.into_profile(),
-        converged,
-        telemetry,
-    }
+    Driver::start(game, scheduler, seed, InProcess::lossless(), obs)
+        .run(max_slots)
+        .0
 }
 
 /// Outcome of a churn-enabled protocol run ([`run_sync_churn`] /
@@ -322,95 +265,23 @@ pub struct ChurnOutcome {
     pub telemetry: Telemetry,
 }
 
-/// Runs the platform's improvement loop until the request set drains or
-/// `max_slots` decision slots elapse. Returns `(slots_used, converged)`.
-fn drive_to_equilibrium(
-    platform: &mut PlatformState<'_>,
-    agents: &mut [Option<UserAgent>],
-    telemetry: &mut Telemetry,
-    stamper: &mut FrameStamper,
-    max_slots: usize,
-    obs: &Obs,
-) -> (usize, bool) {
-    let start = platform.slots;
-    let mut converged = false;
-    while platform.slots - start < max_slots {
-        let slot_span = obs.span(SpanKind::Slot);
-        for user in platform.dirty_users() {
-            let msg = platform.counts_msg_for(user);
-            let agent = agents[user.index()].as_mut().expect("dirty user is active");
-            let reply = deliver_to_agent(agent, &msg, telemetry, stamper, obs)
-                .expect("counts always answered");
-            obs.emit(|| Event::ResponseEvaluated {
-                user: user.index() as u32,
-                kind: ResponseKind::Best,
-                improving: matches!(reply, UserMsg::Request { .. }),
-            });
-            platform.record_reply(user, &reply);
-        }
-        let requests = platform.collect_requests();
-        if requests.is_empty() {
-            converged = true;
-            slot_span.cancel();
-            break;
-        }
-        let granted = platform.select(&requests);
-        for &g in &granted {
-            let user = requests[g].user;
-            let agent = agents[user.index()]
-                .as_mut()
-                .expect("granted user is active");
-            if let Some(UserMsg::Updated { user, route }) =
-                deliver_to_agent(agent, &PlatformMsg::Grant, telemetry, stamper, obs)
-            {
-                platform.apply_update(user, route);
-            }
-        }
-        slot_span.finish();
-        obs.emit(|| Event::SlotCompleted {
-            slot: platform.slots as u64,
-            updated: granted.len() as u32,
-            phi: platform.potential(),
-            total_profit: platform.total_profit(),
-        });
-    }
-    (platform.slots - start, converged)
-}
-
 /// Runs the protocol with **churn**: converge, then alternate event batches
 /// (delivered as encoded `Join`/`Leave` frames) with re-convergence phases,
 /// all on one thread in a fixed order. The reference implementation;
 /// [`run_threaded_churn`](crate::threaded::run_threaded_churn) must produce
-/// an identical [`ChurnOutcome`].
+/// an identical [`ChurnOutcome`]. Besides everything [`run_sync`] emits,
+/// `obs` receives `EpochStarted` / `EpochConverged` around every
+/// (re-)convergence phase and the engine's `UserJoined` / `UserLeft` per
+/// churn frame.
 ///
 /// # Panics
 ///
 /// Panics when the stream is invalid against the live game (leave of an
 /// unknown user, join rejected by validation) — streams are produced by
 /// trusted generators; untrusted frames should go through
-/// [`PlatformState::apply_churn_msg`] directly.
+/// [`PlatformState::apply_churn_msg`](crate::platform::PlatformState::apply_churn_msg)
+/// directly.
 pub fn run_sync_churn(
-    game: &Game,
-    scheduler: SchedulerKind,
-    seed: u64,
-    max_slots_per_epoch: usize,
-    epochs: &[Vec<ChurnEvent>],
-) -> ChurnOutcome {
-    run_sync_churn_observed(
-        game,
-        scheduler,
-        seed,
-        max_slots_per_epoch,
-        epochs,
-        &Obs::disabled(),
-    )
-}
-
-/// [`run_sync_churn`] with an observability handle: everything
-/// [`run_sync_observed`] emits, plus `EpochStarted` / `EpochConverged`
-/// around every (re-)convergence phase and the engine's `UserJoined` /
-/// `UserLeft` per churn frame.
-pub fn run_sync_churn_observed(
     game: &Game,
     scheduler: SchedulerKind,
     seed: u64,
@@ -418,163 +289,8 @@ pub fn run_sync_churn_observed(
     epochs: &[Vec<ChurnEvent>],
     obs: &Obs,
 ) -> ChurnOutcome {
-    let mut agents: Vec<Option<UserAgent>> =
-        spawn_agents(game, seed).into_iter().map(Some).collect();
-    let mut telemetry = Telemetry::default();
-    let mut stamper = FrameStamper::new();
-    let initial: Vec<RouteId> = agents
-        .iter()
-        .flatten()
-        .map(|a| {
-            let frame = a.initial_message().encode();
-            let len = frame.len();
-            let route = match UserMsg::decode(frame).unwrap() {
-                UserMsg::Initial { route, .. } => route,
-                other => panic!("unexpected initial message {other:?}"),
-            };
-            count_uplink(len, a.id.index() as u32, &mut telemetry, &mut stamper, obs);
-            route
-        })
-        .collect();
-    let mut platform = PlatformState::new(game, scheduler, seed, initial);
-    platform.set_obs(obs.clone());
-    for agent in agents.iter_mut().flatten() {
-        let msg = platform.init_msg_for(agent.id);
-        let reply = deliver_to_agent(agent, &msg, &mut telemetry, &mut stamper, obs);
-        debug_assert!(reply.is_none());
-    }
-    let mut epoch_slots = Vec::with_capacity(epochs.len() + 1);
-    let mut converged = true;
-    obs.emit(|| Event::EpochStarted {
-        epoch: 0,
-        joins: 0,
-        leaves: 0,
-        active: platform.active_count() as u32,
-    });
-    let (slots, ok) = obs.time(SpanKind::EpochReconverge, || {
-        drive_to_equilibrium(
-            &mut platform,
-            &mut agents,
-            &mut telemetry,
-            &mut stamper,
-            max_slots_per_epoch,
-            obs,
-        )
-    });
-    epoch_slots.push(slots);
-    converged &= ok;
-    obs.emit(|| Event::EpochConverged {
-        epoch: 0,
-        slots: slots as u64,
-        converged: ok,
-        phi: platform.potential(),
-    });
-    for (epoch_idx, batch) in epochs.iter().enumerate() {
-        let mut joins = 0u32;
-        let mut leaves = 0u32;
-        for event in batch {
-            // Ship the event as a real wire frame, exactly what a networked
-            // vehicle would send.
-            let frame = UserMsg::from_churn(event).encode();
-            // A `Join` frame is sent by the arriving vehicle, which the
-            // platform will number `agents.len()`; a `Leave` by the departing
-            // user itself.
-            let sender = match event {
-                ChurnEvent::Join { .. } => agents.len() as u32,
-                ChurnEvent::Leave { user } => user.index() as u32,
-            };
-            count_uplink(frame.len(), sender, &mut telemetry, &mut stamper, obs);
-            let msg = UserMsg::decode(frame).expect("self-encoded frame decodes");
-            match platform
-                .apply_churn_msg(&msg)
-                .expect("stream events are valid")
-            {
-                Some(joined) => {
-                    joins += 1;
-                    let UserMsg::Join { spec, initial } = msg else {
-                        unreachable!("join returned an id")
-                    };
-                    let mut agent = UserAgent::new(
-                        joined,
-                        spec.prefs,
-                        &spec.routes,
-                        game.params().phi,
-                        game.params().theta,
-                        initial,
-                    );
-                    let init = platform.init_msg_for(joined);
-                    let reply =
-                        deliver_to_agent(&mut agent, &init, &mut telemetry, &mut stamper, obs);
-                    debug_assert!(reply.is_none());
-                    debug_assert_eq!(agents.len(), joined.index());
-                    agents.push(Some(agent));
-                }
-                None => {
-                    leaves += 1;
-                    let UserMsg::Leave { user } = msg else {
-                        unreachable!("leave returns no id")
-                    };
-                    let mut agent = agents[user.index()].take().expect("leaving agent exists");
-                    let reply = deliver_to_agent(
-                        &mut agent,
-                        &PlatformMsg::Terminate,
-                        &mut telemetry,
-                        &mut stamper,
-                        obs,
-                    );
-                    debug_assert!(reply.is_none());
-                }
-            }
-        }
-        let epoch = (epoch_idx + 1) as u32;
-        obs.emit(|| Event::EpochStarted {
-            epoch,
-            joins,
-            leaves,
-            active: platform.active_count() as u32,
-        });
-        let (slots, ok) = obs.time(SpanKind::EpochReconverge, || {
-            drive_to_equilibrium(
-                &mut platform,
-                &mut agents,
-                &mut telemetry,
-                &mut stamper,
-                max_slots_per_epoch,
-                obs,
-            )
-        });
-        epoch_slots.push(slots);
-        converged &= ok;
-        obs.emit(|| Event::EpochConverged {
-            epoch,
-            slots: slots as u64,
-            converged: ok,
-            phi: platform.potential(),
-        });
-    }
-    for agent in agents.iter_mut().flatten() {
-        let reply = deliver_to_agent(
-            agent,
-            &PlatformMsg::Terminate,
-            &mut telemetry,
-            &mut stamper,
-            obs,
-        );
-        debug_assert!(reply.is_none());
-    }
-    for agent in agents.iter().flatten() {
-        debug_assert_eq!(agent.current, platform.profile().choice(agent.id));
-    }
-    let (game, choices, id_map) = platform.materialize();
-    ChurnOutcome {
-        game,
-        choices,
-        id_map,
-        epoch_slots,
-        updates: platform.updates,
-        converged,
-        telemetry,
-    }
+    Driver::start(game, scheduler, seed, InProcess::lossless(), obs)
+        .run_churn(max_slots_per_epoch, epochs)
 }
 
 #[cfg(test)]
@@ -588,7 +304,7 @@ pub(crate) mod tests {
         let game = fig1_instance();
         for scheduler in [SchedulerKind::Suu, SchedulerKind::Puu] {
             for seed in 0..10u64 {
-                let out = run_sync(&game, scheduler, seed, 10_000);
+                let out = run_sync(&game, scheduler, seed, 10_000, &Obs::disabled());
                 assert!(out.converged);
                 assert!(is_nash(&game, &out.profile), "seed {seed} not Nash");
                 // Fig. 1 has a unique equilibrium.
@@ -600,8 +316,8 @@ pub(crate) mod tests {
     #[test]
     fn deterministic_per_seed() {
         let game = fig1_instance();
-        let a = run_sync(&game, SchedulerKind::Puu, 3, 10_000);
-        let b = run_sync(&game, SchedulerKind::Puu, 3, 10_000);
+        let a = run_sync(&game, SchedulerKind::Puu, 3, 10_000, &Obs::disabled());
+        let b = run_sync(&game, SchedulerKind::Puu, 3, 10_000, &Obs::disabled());
         assert_eq!(a, b);
     }
 
@@ -640,7 +356,7 @@ pub(crate) mod tests {
         let epochs = fig1_stream();
         for scheduler in [SchedulerKind::Suu, SchedulerKind::Puu] {
             for seed in 0..5u64 {
-                let out = run_sync_churn(&game, scheduler, seed, 10_000, &epochs);
+                let out = run_sync_churn(&game, scheduler, seed, 10_000, &epochs, &Obs::disabled());
                 assert!(out.converged, "seed {seed} hit the slot cap");
                 assert_eq!(out.epoch_slots.len(), 3);
                 // Users 0 and 2 survive; user 1 and the joiner left.
@@ -658,8 +374,8 @@ pub(crate) mod tests {
     #[test]
     fn sync_churn_with_empty_stream_matches_plain_run() {
         let game = fig1_instance();
-        let plain = run_sync(&game, SchedulerKind::Puu, 5, 10_000);
-        let churn = run_sync_churn(&game, SchedulerKind::Puu, 5, 10_000, &[]);
+        let plain = run_sync(&game, SchedulerKind::Puu, 5, 10_000, &Obs::disabled());
+        let churn = run_sync_churn(&game, SchedulerKind::Puu, 5, 10_000, &[], &Obs::disabled());
         assert_eq!(churn.epoch_slots, vec![plain.slots]);
         assert_eq!(churn.updates, plain.updates);
         assert_eq!(churn.choices, plain.profile.choices());

@@ -3,30 +3,24 @@
 //! channels — the in-process analogue of the networked deployment the paper
 //! sketches (each user's smartphone runs Alg. 1, the platform runs Alg. 2).
 //!
-//! The protocol is slot-synchronous: the platform broadcasts `Counts`, waits
-//! for exactly one reply per agent, grants/denies, and waits for the granted
-//! agents' confirmations. Because replies are keyed by user id, thread
-//! scheduling cannot change the outcome — the run is bit-identical to
+//! The protocol is slot-synchronous: the platform sends a round of frames,
+//! then waits for exactly the replies that round elicits. Replies are
+//! sorted by user id and stamped in that order, so thread scheduling
+//! changes neither the outcome nor the trace. The outcome is identical to
 //! [`crate::sync_runtime::run_sync`] with the same seed (tested in the
 //! workspace integration tests).
 
 use crate::agent::UserAgent;
-use crate::platform::{PlatformState, SchedulerKind};
+use crate::driver::{Driver, Link, Wire};
+use crate::platform::SchedulerKind;
 use crate::protocol::{PlatformMsg, UserMsg};
-use crate::sync_runtime::{spawn_agents, ChurnOutcome, RuntimeOutcome, Telemetry};
+use crate::sync_runtime::{ChurnOutcome, RuntimeOutcome};
 use bytes::Bytes;
 use crossbeam::channel::{unbounded, Receiver, Sender};
-use parking_lot::Mutex;
-use std::sync::Arc;
-use vcs_core::ids::{RouteId, UserId};
+use std::thread::JoinHandle;
+use vcs_core::ids::UserId;
 use vcs_core::{ChurnEvent, Game};
-use vcs_obs::{Event, FrameStamper, LiveMonitor, Obs, ResponseKind, SpanKind, PLATFORM_SENDER};
-
-/// Per-agent mailbox pair: platform keeps the senders, agents the receivers.
-struct AgentLink {
-    to_agent: Sender<Bytes>,
-    // Agents send (user, frame) to a shared platform inbox.
-}
+use vcs_obs::{Obs, SpanKind, PLATFORM_SENDER};
 
 /// Runs the agent event loop on its own thread until `Terminate`.
 /// `announce` sends the initial decision first (Alg. 1 line 4) — start-up
@@ -36,7 +30,6 @@ fn agent_thread(
     mut agent: UserAgent,
     inbox: Receiver<Bytes>,
     outbox: Sender<(UserId, Bytes)>,
-    trace: Arc<Mutex<Vec<(UserId, &'static str)>>>,
     announce: bool,
 ) {
     if announce {
@@ -48,15 +41,6 @@ fn agent_thread(
         let msg = PlatformMsg::decode(frame).expect("well-formed platform frame");
         let terminate = matches!(msg, PlatformMsg::Terminate);
         if let Some(reply) = agent.handle(msg) {
-            let kind = match reply {
-                UserMsg::Request { .. } => "request",
-                UserMsg::NoRequest { .. } => "no-request",
-                UserMsg::Updated { .. } => "updated",
-                UserMsg::Initial { .. } => "initial",
-                UserMsg::Join { .. } => "join",
-                UserMsg::Leave { .. } => "leave",
-            };
-            trace.lock().push((agent.id, kind));
             outbox
                 .send((agent.id, reply.encode()))
                 .expect("platform inbox open");
@@ -67,229 +51,113 @@ fn agent_thread(
     }
 }
 
+/// Whether an agent answers `msg` (`Counts` with a request or silence,
+/// `Grant` with its confirmation).
+fn elicits_reply(msg: &PlatformMsg) -> bool {
+    matches!(msg, PlatformMsg::Counts { .. } | PlatformMsg::Grant)
+}
+
+/// The threaded link: each live agent's mailbox and thread, and the shared
+/// platform inbox every agent replies to.
+struct Threads {
+    agents: Vec<Option<(Sender<Bytes>, JoinHandle<()>)>>,
+    inbox: Receiver<(UserId, Bytes)>,
+    outbox: Sender<(UserId, Bytes)>,
+}
+
+impl Threads {
+    fn new() -> Self {
+        let (outbox, inbox) = unbounded();
+        Self {
+            agents: Vec::new(),
+            inbox,
+            outbox,
+        }
+    }
+
+    /// Waits for `n` replies, then counts, stamps and decodes them in user
+    /// id order.
+    fn collect(&self, n: usize, wire: &mut Wire) -> Vec<(UserId, UserMsg)> {
+        let obs = wire.obs;
+        let mut frames: Vec<(UserId, Bytes)> = (0..n)
+            .map(|_| {
+                obs.time(SpanKind::ChannelWait, || {
+                    self.inbox.recv().expect("agents alive")
+                })
+            })
+            .collect();
+        frames.sort_by_key(|&(user, _)| user);
+        frames
+            .into_iter()
+            .map(|(user, frame)| {
+                wire.frame(user.index() as u32, PLATFORM_SENDER, frame.len());
+                let msg = obs.time(SpanKind::FrameDecode, || {
+                    UserMsg::decode(frame).expect("well-formed user frame")
+                });
+                (user, msg)
+            })
+            .collect()
+    }
+}
+
+impl Link for Threads {
+    fn admit(&mut self, agent: UserAgent, announce: bool, wire: &mut Wire) -> Option<UserMsg> {
+        debug_assert_eq!(self.agents.len(), agent.id.index());
+        let (to_agent, inbox) = unbounded();
+        let outbox = self.outbox.clone();
+        let handle = std::thread::spawn(move || agent_thread(agent, inbox, outbox, announce));
+        self.agents.push(Some((to_agent, handle)));
+        announce.then(|| self.collect(1, wire).pop().expect("one announcement").1)
+    }
+
+    fn round(
+        &mut self,
+        msgs: Vec<(UserId, PlatformMsg)>,
+        wire: &mut Wire,
+    ) -> Vec<(UserId, UserMsg)> {
+        let mut expected = 0;
+        for (user, msg) in msgs {
+            expected += usize::from(elicits_reply(&msg));
+            let frame = wire.obs.time(SpanKind::FrameEncode, || msg.encode());
+            wire.frame(PLATFORM_SENDER, user.index() as u32, frame.len());
+            let (to_agent, _) = self.agents[user.index()]
+                .as_ref()
+                .expect("message to a live agent");
+            to_agent.send(frame).expect("agent alive");
+        }
+        self.collect(expected, wire)
+    }
+
+    fn retire(&mut self, user: UserId) {
+        let (to_agent, handle) = self.agents[user.index()]
+            .take()
+            .expect("retiring a live agent");
+        drop(to_agent);
+        handle.join().expect("agent thread panicked");
+    }
+}
+
 /// Runs the full protocol with one thread per user agent.
 ///
 /// `seed` drives the same initial decisions and scheduler draws as
 /// [`run_sync`](crate::sync_runtime::run_sync); the outcome is identical.
+/// `obs` receives the same kinds of events as under `run_sync`, all
+/// emitted from the platform thread.
 pub fn run_threaded(
-    game: &Game,
-    scheduler: SchedulerKind,
-    seed: u64,
-    max_slots: usize,
-) -> RuntimeOutcome {
-    run_threaded_observed(game, scheduler, seed, max_slots, &Obs::disabled())
-}
-
-/// [`run_threaded`] with an observability handle: frame-level TX/RX events
-/// for every channel frame, `ResponseEvaluated` per dirty-agent reply,
-/// `SlotCompleted` per decision slot and the engine's per-commit events.
-/// Events are emitted from the platform thread only, so a subscriber sees
-/// the same deterministic order as the sync runtime's slot structure.
-pub fn run_threaded_observed(
     game: &Game,
     scheduler: SchedulerKind,
     seed: u64,
     max_slots: usize,
     obs: &Obs,
 ) -> RuntimeOutcome {
-    let m = game.user_count();
-    let agents = spawn_agents(game, seed);
-    let mut telemetry = Telemetry::default();
-    let (to_platform, platform_inbox) = unbounded::<(UserId, Bytes)>();
-    let trace = Arc::new(Mutex::new(Vec::new()));
-    let mut links: Vec<AgentLink> = Vec::with_capacity(m);
-    let mut handles = Vec::with_capacity(m);
-    for agent in agents {
-        let (tx, rx) = unbounded::<Bytes>();
-        links.push(AgentLink { to_agent: tx });
-        let outbox = to_platform.clone();
-        let trace = Arc::clone(&trace);
-        handles.push(std::thread::spawn(move || {
-            agent_thread(agent, rx, outbox, trace, true)
-        }));
-    }
-    drop(to_platform);
-
-    // Causal stamps are platform-side bookkeeping: the platform thread is
-    // the only emitter, so it stamps uplink frames at receipt on the
-    // sender's behalf — deterministic per seed, same protocol as the sync
-    // runtime.
-    let mut stamper = FrameStamper::new();
-    // Collect exactly one frame per agent, keyed by user id, counting bytes.
-    let collect_round = |inbox: &Receiver<(UserId, Bytes)>,
-                         expect: usize,
-                         telemetry: &mut Telemetry,
-                         stamper: &mut FrameStamper|
-     -> Vec<(UserId, UserMsg)> {
-        let mut out: Vec<(UserId, UserMsg)> = Vec::with_capacity(expect);
-        for _ in 0..expect {
-            let (user, frame) = obs.time(SpanKind::ChannelWait, || {
-                inbox.recv().expect("agents alive")
-            });
-            telemetry.user_msgs += 1;
-            telemetry.user_bytes += frame.len();
-            let tx = stamper.send(user.index() as u32);
-            obs.emit(|| Event::FrameSent {
-                bytes: frame.len() as u32,
-                seq: tx.seq,
-                lamport: tx.lamport,
-            });
-            let rx = stamper.receive(PLATFORM_SENDER, tx);
-            obs.emit(|| Event::FrameReceived {
-                bytes: frame.len() as u32,
-                seq: rx.seq,
-                lamport: rx.lamport,
-            });
-            let msg = obs.time(SpanKind::FrameDecode, || {
-                UserMsg::decode(frame).expect("well-formed user frame")
-            });
-            out.push((user, msg));
-        }
-        out.sort_by_key(|&(user, _)| user);
-        out
-    };
-    // Send a platform frame to `user`, counting it.
-    let send_counted = |link: &AgentLink,
-                        user: u32,
-                        frame: Bytes,
-                        telemetry: &mut Telemetry,
-                        stamper: &mut FrameStamper| {
-        telemetry.platform_msgs += 1;
-        telemetry.platform_bytes += frame.len();
-        let tx = stamper.send(PLATFORM_SENDER);
-        obs.emit(|| Event::FrameSent {
-            bytes: frame.len() as u32,
-            seq: tx.seq,
-            lamport: tx.lamport,
-        });
-        let rx = stamper.receive(user, tx);
-        obs.emit(|| Event::FrameReceived {
-            bytes: frame.len() as u32,
-            seq: rx.seq,
-            lamport: rx.lamport,
-        });
-        link.to_agent.send(frame).expect("agent alive");
-    };
-    // Encode a platform message under a FrameEncode span.
-    let encode_timed = |msg: &PlatformMsg| obs.time(SpanKind::FrameEncode, || msg.encode());
-
-    // Alg. 2 line 2: initial decisions.
-    let initial_msgs = collect_round(&platform_inbox, m, &mut telemetry, &mut stamper);
-    let mut initial = vec![RouteId(0); m];
-    for (user, msg) in initial_msgs {
-        match msg {
-            UserMsg::Initial { route, .. } => initial[user.index()] = route,
-            other => panic!("expected Initial, got {other:?}"),
-        }
-    }
-    let mut platform = PlatformState::new(game, scheduler, seed, initial);
-    platform.set_obs(obs.clone());
-    for (i, link) in links.iter().enumerate() {
-        let msg = platform.init_msg_for(UserId::from_index(i));
-        send_counted(
-            link,
-            i as u32,
-            encode_timed(&msg),
-            &mut telemetry,
-            &mut stamper,
-        );
-    }
-
-    let mut converged = false;
-    while platform.slots < max_slots {
-        // A poll round that yields no request terminates the run — not a
-        // decision slot, so the span is cancelled on that path.
-        let slot_span = obs.span(SpanKind::Slot);
-        // Poll only the dirty agents; everyone else's standing request is
-        // reused from the platform cache (no frames exchanged).
-        let dirty = platform.dirty_users();
-        for &user in &dirty {
-            let msg = platform.counts_msg_for(user);
-            send_counted(
-                &links[user.index()],
-                user.index() as u32,
-                encode_timed(&msg),
-                &mut telemetry,
-                &mut stamper,
-            );
-        }
-        let replies = collect_round(&platform_inbox, dirty.len(), &mut telemetry, &mut stamper);
-        for (user, msg) in &replies {
-            obs.emit(|| Event::ResponseEvaluated {
-                user: user.index() as u32,
-                kind: ResponseKind::Best,
-                improving: matches!(msg, UserMsg::Request { .. }),
-            });
-            platform.record_reply(*user, msg);
-        }
-        let requests = platform.collect_requests();
-        if requests.is_empty() {
-            converged = true;
-            slot_span.cancel();
-            break;
-        }
-        let granted = platform.select(&requests);
-        let granted_users: Vec<UserId> = granted.iter().map(|&g| requests[g].user).collect();
-        // Only granted users hear back; standing requests need no Deny.
-        for &user in &granted_users {
-            send_counted(
-                &links[user.index()],
-                user.index() as u32,
-                encode_timed(&PlatformMsg::Grant),
-                &mut telemetry,
-                &mut stamper,
-            );
-        }
-        let confirmations = collect_round(
-            &platform_inbox,
-            granted_users.len(),
-            &mut telemetry,
-            &mut stamper,
-        );
-        for (_, msg) in confirmations {
-            match msg {
-                UserMsg::Updated { user, route } => platform.apply_update(user, route),
-                other => panic!("expected Updated, got {other:?}"),
-            }
-        }
-        slot_span.finish();
-        obs.emit(|| Event::SlotCompleted {
-            slot: platform.slots as u64,
-            updated: granted_users.len() as u32,
-            phi: platform.potential(),
-            total_profit: platform.total_profit(),
-        });
-    }
-    for (i, link) in links.iter().enumerate() {
-        send_counted(
-            link,
-            i as u32,
-            encode_timed(&PlatformMsg::Terminate),
-            &mut telemetry,
-            &mut stamper,
-        );
-    }
-    for handle in handles {
-        handle.join().expect("agent thread panicked");
-    }
-    obs.emit(|| Event::RunCompleted {
-        slots: platform.slots as u64,
-        updates: platform.updates as u64,
-        converged,
-        phi: platform.potential(),
-    });
-    RuntimeOutcome {
-        slots: platform.slots,
-        updates: platform.updates,
-        profile: platform.into_profile(),
-        converged,
-        telemetry,
-    }
+    Driver::start(game, scheduler, seed, Threads::new(), obs)
+        .run(max_slots)
+        .0
 }
 
 /// Runs the churn-enabled protocol with one thread per *live* user agent:
 /// agents joining mid-game get their own freshly spawned thread, leaving
-/// agents are terminated and joined. Bit-identical to
+/// agents are terminated and joined. Identical to
 /// [`run_sync_churn`](crate::sync_runtime::run_sync_churn) for the same seed
 /// and event stream (tested in the workspace integration tests).
 pub fn run_threaded_churn(
@@ -298,383 +166,9 @@ pub fn run_threaded_churn(
     seed: u64,
     max_slots_per_epoch: usize,
     epochs: &[Vec<ChurnEvent>],
-) -> ChurnOutcome {
-    run_threaded_churn_observed(
-        game,
-        scheduler,
-        seed,
-        max_slots_per_epoch,
-        epochs,
-        &Obs::disabled(),
-    )
-}
-
-/// [`run_threaded_churn`] with an observability handle: everything
-/// [`run_threaded_observed`] emits plus `EpochStarted` / `EpochConverged`
-/// around every re-convergence phase and the engine's join/leave events.
-pub fn run_threaded_churn_observed(
-    game: &Game,
-    scheduler: SchedulerKind,
-    seed: u64,
-    max_slots_per_epoch: usize,
-    epochs: &[Vec<ChurnEvent>],
     obs: &Obs,
 ) -> ChurnOutcome {
-    let m = game.user_count();
-    let agents = spawn_agents(game, seed);
-    let mut telemetry = Telemetry::default();
-    let (to_platform, platform_inbox) = unbounded::<(UserId, Bytes)>();
-    let trace = Arc::new(Mutex::new(Vec::new()));
-    let mut links: Vec<Option<AgentLink>> = Vec::with_capacity(m);
-    let mut handles: Vec<Option<std::thread::JoinHandle<()>>> = Vec::with_capacity(m);
-    for agent in agents {
-        let (tx, rx) = unbounded::<Bytes>();
-        links.push(Some(AgentLink { to_agent: tx }));
-        let outbox = to_platform.clone();
-        let trace = Arc::clone(&trace);
-        handles.push(Some(std::thread::spawn(move || {
-            agent_thread(agent, rx, outbox, trace, true)
-        })));
-    }
-
-    let mut stamper = FrameStamper::new();
-    let collect_round = |inbox: &Receiver<(UserId, Bytes)>,
-                         expect: usize,
-                         telemetry: &mut Telemetry,
-                         stamper: &mut FrameStamper|
-     -> Vec<(UserId, UserMsg)> {
-        let mut out: Vec<(UserId, UserMsg)> = Vec::with_capacity(expect);
-        for _ in 0..expect {
-            let (user, frame) = obs.time(SpanKind::ChannelWait, || {
-                inbox.recv().expect("agents alive")
-            });
-            telemetry.user_msgs += 1;
-            telemetry.user_bytes += frame.len();
-            let tx = stamper.send(user.index() as u32);
-            obs.emit(|| Event::FrameSent {
-                bytes: frame.len() as u32,
-                seq: tx.seq,
-                lamport: tx.lamport,
-            });
-            let rx = stamper.receive(PLATFORM_SENDER, tx);
-            obs.emit(|| Event::FrameReceived {
-                bytes: frame.len() as u32,
-                seq: rx.seq,
-                lamport: rx.lamport,
-            });
-            let msg = obs.time(SpanKind::FrameDecode, || {
-                UserMsg::decode(frame).expect("well-formed user frame")
-            });
-            out.push((user, msg));
-        }
-        out.sort_by_key(|&(user, _)| user);
-        out
-    };
-    let send_counted = |link: &AgentLink,
-                        user: u32,
-                        frame: Bytes,
-                        telemetry: &mut Telemetry,
-                        stamper: &mut FrameStamper| {
-        telemetry.platform_msgs += 1;
-        telemetry.platform_bytes += frame.len();
-        let tx = stamper.send(PLATFORM_SENDER);
-        obs.emit(|| Event::FrameSent {
-            bytes: frame.len() as u32,
-            seq: tx.seq,
-            lamport: tx.lamport,
-        });
-        let rx = stamper.receive(user, tx);
-        obs.emit(|| Event::FrameReceived {
-            bytes: frame.len() as u32,
-            seq: rx.seq,
-            lamport: rx.lamport,
-        });
-        link.to_agent.send(frame).expect("agent alive");
-    };
-    let encode_timed = |msg: &PlatformMsg| obs.time(SpanKind::FrameEncode, || msg.encode());
-
-    let initial_msgs = collect_round(&platform_inbox, m, &mut telemetry, &mut stamper);
-    let mut initial = vec![RouteId(0); m];
-    for (user, msg) in initial_msgs {
-        match msg {
-            UserMsg::Initial { route, .. } => initial[user.index()] = route,
-            other => panic!("expected Initial, got {other:?}"),
-        }
-    }
-    let mut platform = PlatformState::new(game, scheduler, seed, initial);
-    platform.set_obs(obs.clone());
-    for (i, link) in links.iter().enumerate() {
-        let msg = platform.init_msg_for(UserId::from_index(i));
-        send_counted(
-            link.as_ref().expect("start-up agent"),
-            i as u32,
-            encode_timed(&msg),
-            &mut telemetry,
-            &mut stamper,
-        );
-    }
-
-    // The improvement loop of one epoch: identical message pattern to
-    // `run_threaded`, bounded by a per-epoch slot budget.
-    let drive = |platform: &mut PlatformState<'_>,
-                 links: &[Option<AgentLink>],
-                 telemetry: &mut Telemetry,
-                 stamper: &mut FrameStamper|
-     -> (usize, bool) {
-        let start = platform.slots;
-        let mut converged = false;
-        while platform.slots - start < max_slots_per_epoch {
-            let slot_span = obs.span(SpanKind::Slot);
-            let dirty = platform.dirty_users();
-            for &user in &dirty {
-                let msg = platform.counts_msg_for(user);
-                let link = links[user.index()].as_ref().expect("dirty user is active");
-                send_counted(
-                    link,
-                    user.index() as u32,
-                    encode_timed(&msg),
-                    telemetry,
-                    stamper,
-                );
-            }
-            let replies = collect_round(&platform_inbox, dirty.len(), telemetry, stamper);
-            for (user, msg) in &replies {
-                obs.emit(|| Event::ResponseEvaluated {
-                    user: user.index() as u32,
-                    kind: ResponseKind::Best,
-                    improving: matches!(msg, UserMsg::Request { .. }),
-                });
-                platform.record_reply(*user, msg);
-            }
-            let requests = platform.collect_requests();
-            if requests.is_empty() {
-                converged = true;
-                slot_span.cancel();
-                break;
-            }
-            let granted = platform.select(&requests);
-            let granted_users: Vec<UserId> = granted.iter().map(|&g| requests[g].user).collect();
-            for &user in &granted_users {
-                let link = links[user.index()]
-                    .as_ref()
-                    .expect("granted user is active");
-                send_counted(
-                    link,
-                    user.index() as u32,
-                    encode_timed(&PlatformMsg::Grant),
-                    telemetry,
-                    stamper,
-                );
-            }
-            let confirmations =
-                collect_round(&platform_inbox, granted_users.len(), telemetry, stamper);
-            for (_, msg) in confirmations {
-                match msg {
-                    UserMsg::Updated { user, route } => platform.apply_update(user, route),
-                    other => panic!("expected Updated, got {other:?}"),
-                }
-            }
-            slot_span.finish();
-            obs.emit(|| Event::SlotCompleted {
-                slot: platform.slots as u64,
-                updated: granted_users.len() as u32,
-                phi: platform.potential(),
-                total_profit: platform.total_profit(),
-            });
-        }
-        (platform.slots - start, converged)
-    };
-
-    let mut epoch_slots = Vec::with_capacity(epochs.len() + 1);
-    let mut converged = true;
-    obs.emit(|| Event::EpochStarted {
-        epoch: 0,
-        joins: 0,
-        leaves: 0,
-        active: platform.active_count() as u32,
-    });
-    let (slots, ok) = obs.time(SpanKind::EpochReconverge, || {
-        drive(&mut platform, &links, &mut telemetry, &mut stamper)
-    });
-    epoch_slots.push(slots);
-    converged &= ok;
-    obs.emit(|| Event::EpochConverged {
-        epoch: 0,
-        slots: slots as u64,
-        converged: ok,
-        phi: platform.potential(),
-    });
-    for (epoch_idx, batch) in epochs.iter().enumerate() {
-        let mut joins = 0u32;
-        let mut leaves = 0u32;
-        for event in batch {
-            let frame = obs.time(SpanKind::FrameEncode, || {
-                UserMsg::from_churn(event).encode()
-            });
-            telemetry.user_msgs += 1;
-            telemetry.user_bytes += frame.len();
-            // A `Join` frame comes from the arriving vehicle (which will be
-            // numbered `links.len()`); a `Leave` from the departing user.
-            let sender = match event {
-                ChurnEvent::Join { .. } => links.len() as u32,
-                ChurnEvent::Leave { user } => user.index() as u32,
-            };
-            let tx = stamper.send(sender);
-            obs.emit(|| Event::FrameSent {
-                bytes: frame.len() as u32,
-                seq: tx.seq,
-                lamport: tx.lamport,
-            });
-            let rx = stamper.receive(PLATFORM_SENDER, tx);
-            obs.emit(|| Event::FrameReceived {
-                bytes: frame.len() as u32,
-                seq: rx.seq,
-                lamport: rx.lamport,
-            });
-            let msg = obs.time(SpanKind::FrameDecode, || {
-                UserMsg::decode(frame).expect("self-encoded frame decodes")
-            });
-            match platform
-                .apply_churn_msg(&msg)
-                .expect("stream events are valid")
-            {
-                Some(joined) => {
-                    joins += 1;
-                    let UserMsg::Join { spec, initial } = msg else {
-                        unreachable!("join returned an id")
-                    };
-                    let agent = UserAgent::new(
-                        joined,
-                        spec.prefs,
-                        &spec.routes,
-                        game.params().phi,
-                        game.params().theta,
-                        initial,
-                    );
-                    let (tx, rx) = unbounded::<Bytes>();
-                    let outbox = to_platform.clone();
-                    let trace = Arc::clone(&trace);
-                    debug_assert_eq!(links.len(), joined.index());
-                    links.push(Some(AgentLink { to_agent: tx }));
-                    handles.push(Some(std::thread::spawn(move || {
-                        agent_thread(agent, rx, outbox, trace, false)
-                    })));
-                    let init = platform.init_msg_for(joined);
-                    send_counted(
-                        links[joined.index()].as_ref().expect("just linked"),
-                        joined.index() as u32,
-                        encode_timed(&init),
-                        &mut telemetry,
-                        &mut stamper,
-                    );
-                }
-                None => {
-                    leaves += 1;
-                    let UserMsg::Leave { user } = msg else {
-                        unreachable!("leave returns no id")
-                    };
-                    let link = links[user.index()].take().expect("leaving agent exists");
-                    send_counted(
-                        &link,
-                        user.index() as u32,
-                        encode_timed(&PlatformMsg::Terminate),
-                        &mut telemetry,
-                        &mut stamper,
-                    );
-                    drop(link);
-                    handles[user.index()]
-                        .take()
-                        .expect("leaving agent has a thread")
-                        .join()
-                        .expect("agent thread panicked");
-                }
-            }
-        }
-        let epoch = (epoch_idx + 1) as u32;
-        obs.emit(|| Event::EpochStarted {
-            epoch,
-            joins,
-            leaves,
-            active: platform.active_count() as u32,
-        });
-        let (slots, ok) = obs.time(SpanKind::EpochReconverge, || {
-            drive(&mut platform, &links, &mut telemetry, &mut stamper)
-        });
-        epoch_slots.push(slots);
-        converged &= ok;
-        obs.emit(|| Event::EpochConverged {
-            epoch,
-            slots: slots as u64,
-            converged: ok,
-            phi: platform.potential(),
-        });
-    }
-    drop(to_platform);
-    for (i, link) in links.iter().enumerate() {
-        let Some(link) = link else { continue };
-        send_counted(
-            link,
-            i as u32,
-            encode_timed(&PlatformMsg::Terminate),
-            &mut telemetry,
-            &mut stamper,
-        );
-    }
-    for handle in handles.iter_mut().filter_map(Option::take) {
-        handle.join().expect("agent thread panicked");
-    }
-    let (game, choices, id_map) = platform.materialize();
-    ChurnOutcome {
-        game,
-        choices,
-        id_map,
-        epoch_slots,
-        updates: platform.updates,
-        converged,
-        telemetry,
-    }
-}
-
-/// [`run_threaded_observed`] with a live `/metrics` endpoint: binds a
-/// [`LiveMonitor`] on `addr` (use `"127.0.0.1:0"` for an ephemeral port),
-/// runs the protocol under its [`vcs_obs::StatsSubscriber`], and returns
-/// the outcome together with the still-serving monitor — callers can
-/// scrape the run while it is in flight (the exporter thread answers off
-/// relaxed atomics) and take a final scrape or
-/// [`stats()`](LiveMonitor::stats) snapshot afterwards. The endpoint shuts
-/// down when the monitor is dropped.
-pub fn run_threaded_monitored(
-    game: &Game,
-    scheduler: SchedulerKind,
-    seed: u64,
-    max_slots: usize,
-    addr: impl std::net::ToSocketAddrs,
-) -> std::io::Result<(RuntimeOutcome, LiveMonitor)> {
-    let monitor = LiveMonitor::bind(addr)?;
-    let outcome = run_threaded_observed(game, scheduler, seed, max_slots, &monitor.obs());
-    Ok((outcome, monitor))
-}
-
-/// [`run_threaded_churn_observed`] with a live `/metrics` endpoint (see
-/// [`run_threaded_monitored`]).
-pub fn run_threaded_churn_monitored(
-    game: &Game,
-    scheduler: SchedulerKind,
-    seed: u64,
-    max_slots_per_epoch: usize,
-    epochs: &[Vec<ChurnEvent>],
-    addr: impl std::net::ToSocketAddrs,
-) -> std::io::Result<(ChurnOutcome, LiveMonitor)> {
-    let monitor = LiveMonitor::bind(addr)?;
-    let outcome = run_threaded_churn_observed(
-        game,
-        scheduler,
-        seed,
-        max_slots_per_epoch,
-        epochs,
-        &monitor.obs(),
-    );
-    Ok((outcome, monitor))
+    Driver::start(game, scheduler, seed, Threads::new(), obs).run_churn(max_slots_per_epoch, epochs)
 }
 
 #[cfg(test)]
@@ -687,7 +181,7 @@ mod tests {
     #[test]
     fn threaded_reaches_nash() {
         let game = fig1_instance();
-        let out = run_threaded(&game, SchedulerKind::Puu, 11, 10_000);
+        let out = run_threaded(&game, SchedulerKind::Puu, 11, 10_000, &Obs::disabled());
         assert!(out.converged);
         assert!(is_nash(&game, &out.profile));
     }
@@ -697,8 +191,8 @@ mod tests {
         let game = fig1_instance();
         for scheduler in [SchedulerKind::Suu, SchedulerKind::Puu] {
             for seed in 0..6u64 {
-                let sync = run_sync(&game, scheduler, seed, 10_000);
-                let threaded = run_threaded(&game, scheduler, seed, 10_000);
+                let sync = run_sync(&game, scheduler, seed, 10_000, &Obs::disabled());
+                let threaded = run_threaded(&game, scheduler, seed, 10_000, &Obs::disabled());
                 assert_eq!(sync, threaded, "divergence at seed {seed}");
             }
         }
@@ -710,9 +204,16 @@ mod tests {
         let epochs = crate::sync_runtime::tests::fig1_stream();
         for scheduler in [SchedulerKind::Suu, SchedulerKind::Puu] {
             for seed in 0..4u64 {
-                let sync =
-                    crate::sync_runtime::run_sync_churn(&game, scheduler, seed, 10_000, &epochs);
-                let threaded = run_threaded_churn(&game, scheduler, seed, 10_000, &epochs);
+                let sync = crate::sync_runtime::run_sync_churn(
+                    &game,
+                    scheduler,
+                    seed,
+                    10_000,
+                    &epochs,
+                    &Obs::disabled(),
+                );
+                let threaded =
+                    run_threaded_churn(&game, scheduler, seed, 10_000, &epochs, &Obs::disabled());
                 assert_eq!(sync, threaded, "churn divergence at seed {seed}");
                 assert!(threaded.converged);
             }

@@ -14,11 +14,9 @@ use std::time::Duration;
 use vcs_core::examples::fig1_instance;
 use vcs_core::ids::{RouteId, TaskId, UserId};
 use vcs_core::{ChurnEvent, Route, UserPrefs, UserSpec};
-use vcs_obs::{validate_prometheus_text, Event, Obs, SpanKind, StatsSubscriber};
+use vcs_obs::{validate_prometheus_text, Event, LiveMonitor, Obs, SpanKind, StatsSubscriber};
 use vcs_runtime::platform::SchedulerKind;
-use vcs_runtime::threaded::{
-    run_threaded, run_threaded_churn_monitored, run_threaded_monitored, run_threaded_observed,
-};
+use vcs_runtime::threaded::{run_threaded, run_threaded_churn};
 
 /// Minimal HTTP/1.1 GET over a plain [`TcpStream`]; returns (status line,
 /// body).
@@ -55,10 +53,9 @@ fn sample(exposition: &str, name: &str) -> f64 {
 #[test]
 fn metrics_endpoint_serves_a_live_threaded_run() {
     let game = fig1_instance();
-    let (outcome, monitor) =
-        run_threaded_monitored(&game, SchedulerKind::Puu, 7, 10_000, "127.0.0.1:0")
-            .expect("bind ephemeral exporter");
-    let plain = run_threaded(&game, SchedulerKind::Puu, 7, 10_000);
+    let monitor = LiveMonitor::bind("127.0.0.1:0").expect("bind ephemeral exporter");
+    let outcome = run_threaded(&game, SchedulerKind::Puu, 7, 10_000, &monitor.obs());
+    let plain = run_threaded(&game, SchedulerKind::Puu, 7, 10_000, &Obs::disabled());
     assert_eq!(outcome, plain, "monitoring perturbed the run");
     let addr = monitor.addr();
 
@@ -81,7 +78,7 @@ fn metrics_endpoint_serves_a_live_threaded_run() {
     // The monitor keeps serving while more work flows through the same
     // subscriber — run again on its handle, then re-scrape: every counter
     // is non-decreasing and the run counters doubled exactly.
-    let again = run_threaded_observed(&game, SchedulerKind::Puu, 7, 10_000, &monitor.obs());
+    let again = run_threaded(&game, SchedulerKind::Puu, 7, 10_000, &monitor.obs());
     assert_eq!(again, plain);
     let (_, second) = http_get(addr, "/metrics");
     validate_prometheus_text(&second).expect("second scrape is valid exposition");
@@ -128,9 +125,15 @@ fn churn_monitor_exposes_phi_gauge_and_epoch_counters() {
         }],
         vec![ChurnEvent::Leave { user: UserId(1) }],
     ];
-    let (outcome, monitor) =
-        run_threaded_churn_monitored(&game, SchedulerKind::Puu, 3, 10_000, &epochs, "127.0.0.1:0")
-            .expect("bind ephemeral exporter");
+    let monitor = LiveMonitor::bind("127.0.0.1:0").expect("bind ephemeral exporter");
+    let outcome = run_threaded_churn(
+        &game,
+        SchedulerKind::Puu,
+        3,
+        10_000,
+        &epochs,
+        &monitor.obs(),
+    );
     let (_, text) = http_get(monitor.addr(), "/metrics");
     validate_prometheus_text(&text).expect("valid exposition");
     assert_eq!(

@@ -8,13 +8,9 @@ use vcs_core::ids::{RouteId, TaskId, UserId};
 use vcs_core::{ChurnEvent, Route, UserPrefs, UserSpec};
 use vcs_obs::{Event, Obs, RingBufferSubscriber, StatsSubscriber};
 use vcs_runtime::platform::SchedulerKind;
-use vcs_runtime::resilience::{
-    run_lossy, run_lossy_observed, run_stale, run_stale_observed, LossConfig,
-};
-use vcs_runtime::sync_runtime::{
-    run_sync, run_sync_churn, run_sync_churn_observed, run_sync_observed,
-};
-use vcs_runtime::threaded::{run_threaded_churn_observed, run_threaded_observed};
+use vcs_runtime::resilience::{run_lossy, run_stale, LossConfig};
+use vcs_runtime::sync_runtime::{run_sync, run_sync_churn};
+use vcs_runtime::threaded::{run_threaded, run_threaded_churn};
 
 fn stats() -> (Arc<StatsSubscriber>, Obs) {
     let subscriber = Arc::new(StatsSubscriber::new());
@@ -27,9 +23,9 @@ fn observed_sync_run_is_unperturbed_and_reconciles() {
     let game = fig1_instance();
     for scheduler in [SchedulerKind::Suu, SchedulerKind::Puu] {
         for seed in 0..4u64 {
-            let plain = run_sync(&game, scheduler, seed, 10_000);
+            let plain = run_sync(&game, scheduler, seed, 10_000, &Obs::disabled());
             let (subscriber, obs) = stats();
-            let observed = run_sync_observed(&game, scheduler, seed, 10_000, &obs);
+            let observed = run_sync(&game, scheduler, seed, 10_000, &obs);
             assert_eq!(plain, observed, "observation perturbed seed {seed}");
             // Lossless transport: every frame is sent exactly once and
             // received exactly once, and telemetry counts the same frames.
@@ -48,9 +44,9 @@ fn observed_threaded_run_matches_sync_counters() {
     let game = fig1_instance();
     for seed in 0..3u64 {
         let (sync_sub, sync_obs) = stats();
-        let sync = run_sync_observed(&game, SchedulerKind::Puu, seed, 10_000, &sync_obs);
+        let sync = run_sync(&game, SchedulerKind::Puu, seed, 10_000, &sync_obs);
         let (thr_sub, thr_obs) = stats();
-        let threaded = run_threaded_observed(&game, SchedulerKind::Puu, seed, 10_000, &thr_obs);
+        let threaded = run_threaded(&game, SchedulerKind::Puu, seed, 10_000, &thr_obs);
         assert_eq!(sync, threaded, "threaded diverged at seed {seed}");
         assert_eq!(sync_sub.frames(), thr_sub.frames());
         assert_eq!(sync_sub.slots(), thr_sub.slots());
@@ -63,10 +59,16 @@ fn observed_lossy_run_accounts_for_every_drop() {
     let game = fig1_instance();
     for seed in 0..4u64 {
         let loss = LossConfig::hostile(seed.wrapping_add(7));
-        let (plain, plain_stats) = run_lossy(&game, SchedulerKind::Puu, seed, 10_000, &loss);
+        let (plain, plain_stats) = run_lossy(
+            &game,
+            SchedulerKind::Puu,
+            seed,
+            10_000,
+            &loss,
+            &Obs::disabled(),
+        );
         let (subscriber, obs) = stats();
-        let (observed, obs_stats) =
-            run_lossy_observed(&game, SchedulerKind::Puu, seed, 10_000, &loss, &obs);
+        let (observed, obs_stats) = run_lossy(&game, SchedulerKind::Puu, seed, 10_000, &loss, &obs);
         assert_eq!(plain, observed);
         assert_eq!(plain_stats, obs_stats);
         let (sent, received, dropped) = subscriber.frames();
@@ -84,10 +86,16 @@ fn observed_stale_run_is_unperturbed() {
     let game = fig1_instance();
     for refresh in [1usize, 3] {
         for seed in 0..3u64 {
-            let plain = run_stale(&game, SchedulerKind::Suu, seed, 10_000, refresh);
+            let plain = run_stale(
+                &game,
+                SchedulerKind::Suu,
+                seed,
+                10_000,
+                refresh,
+                &Obs::disabled(),
+            );
             let (subscriber, obs) = stats();
-            let observed =
-                run_stale_observed(&game, SchedulerKind::Suu, seed, 10_000, refresh, &obs);
+            let observed = run_stale(&game, SchedulerKind::Suu, seed, 10_000, refresh, &obs);
             assert_eq!(plain, observed);
             let (sent, received, dropped) = subscriber.frames();
             assert_eq!(sent, received);
@@ -119,11 +127,17 @@ fn observed_churn_runs_emit_epoch_brackets() {
     let game = fig1_instance();
     let epochs = fig1_stream();
     for seed in 0..3u64 {
-        let plain = run_sync_churn(&game, SchedulerKind::Puu, seed, 10_000, &epochs);
+        let plain = run_sync_churn(
+            &game,
+            SchedulerKind::Puu,
+            seed,
+            10_000,
+            &epochs,
+            &Obs::disabled(),
+        );
         let ring = Arc::new(RingBufferSubscriber::new(1 << 14));
         let obs = Obs::new(ring.clone());
-        let observed =
-            run_sync_churn_observed(&game, SchedulerKind::Puu, seed, 10_000, &epochs, &obs);
+        let observed = run_sync_churn(&game, SchedulerKind::Puu, seed, 10_000, &epochs, &obs);
         assert_eq!(plain, observed);
 
         let events = ring.events();
@@ -171,7 +185,7 @@ fn observed_churn_runs_emit_epoch_brackets() {
         // counter totals.
         let (thr_sub, thr_obs) = stats();
         let threaded =
-            run_threaded_churn_observed(&game, SchedulerKind::Puu, seed, 10_000, &epochs, &thr_obs);
+            run_threaded_churn(&game, SchedulerKind::Puu, seed, 10_000, &epochs, &thr_obs);
         assert_eq!(plain, threaded);
         let (epochs_started, epochs_converged) = thr_sub.epochs();
         assert_eq!(epochs_started, n as u64);

@@ -20,9 +20,9 @@ use vcs_core::{
 };
 use vcs_obs::{Event, Obs, RingBufferSubscriber};
 use vcs_runtime::platform::SchedulerKind;
-use vcs_runtime::resilience::{run_lossy_observed, run_stale_observed, LossConfig};
-use vcs_runtime::sync_runtime::{run_sync_churn_observed, run_sync_observed};
-use vcs_runtime::threaded::run_threaded_observed;
+use vcs_runtime::resilience::{run_lossy, run_stale, LossConfig};
+use vcs_runtime::sync_runtime::{run_sync, run_sync_churn};
+use vcs_runtime::threaded::run_threaded;
 
 /// A seeded random game, large enough to need a nontrivial convergence.
 fn random_game(seed: u64) -> Game {
@@ -125,7 +125,7 @@ fn sync_runs_respect_the_slot_bound() {
             };
             for seed in 0..2u64 {
                 let (ring, obs) = capture();
-                let out = run_sync_observed(&game, scheduler, seed, 100_000, &obs);
+                let out = run_sync(&game, scheduler, seed, 100_000, &obs);
                 assert!(out.converged);
                 assert_theorem4(
                     &game,
@@ -144,7 +144,7 @@ fn threaded_runs_respect_the_slot_bound() {
         let game = random_game(game_seed);
         for seed in 0..4u64 {
             let (ring, obs) = capture();
-            let out = run_threaded_observed(&game, SchedulerKind::Puu, seed, 100_000, &obs);
+            let out = run_threaded(&game, SchedulerKind::Puu, seed, 100_000, &obs);
             assert!(out.converged);
             assert_theorem4(
                 &game,
@@ -163,8 +163,7 @@ fn lossy_runs_respect_the_slot_bound() {
         for seed in 0..4u64 {
             let (ring, obs) = capture();
             let loss = LossConfig::hostile(seed.wrapping_add(31));
-            let (out, _) =
-                run_lossy_observed(&game, SchedulerKind::Puu, seed, 100_000, &loss, &obs);
+            let (out, _) = run_lossy(&game, SchedulerKind::Puu, seed, 100_000, &loss, &obs);
             assert!(out.converged);
             assert_theorem4(
                 &game,
@@ -185,8 +184,7 @@ fn stale_runs_respect_the_slot_bound() {
             let game = random_game(game_seed);
             for seed in 0..2u64 {
                 let (ring, obs) = capture();
-                let out =
-                    run_stale_observed(&game, SchedulerKind::Suu, seed, 100_000, refresh, &obs);
+                let out = run_stale(&game, SchedulerKind::Suu, seed, 100_000, refresh, &obs);
                 assert!(out.converged);
                 assert_theorem4(
                     &game,
@@ -228,7 +226,7 @@ fn churn_epochs_respect_the_per_epoch_slot_bound() {
     let epochs = fig1_stream();
     for seed in 0..20u64 {
         let (ring, obs) = capture();
-        let out = run_sync_churn_observed(&game, SchedulerKind::Puu, seed, 100_000, &epochs, &obs);
+        let out = run_sync_churn(&game, SchedulerKind::Puu, seed, 100_000, &epochs, &obs);
         assert!(out.converged, "seed {seed}");
         let events = ring.events();
 

@@ -26,10 +26,10 @@ fn main() {
 
     for scheduler in [SchedulerKind::Suu, SchedulerKind::Puu] {
         let t0 = Instant::now();
-        let threaded = run_threaded(&game, scheduler, 77, 1_000_000);
+        let threaded = run_threaded(&game, scheduler, 77, 1_000_000, &Obs::disabled());
         let threaded_time = t0.elapsed();
         let t1 = Instant::now();
-        let sync = run_sync(&game, scheduler, 77, 1_000_000);
+        let sync = run_sync(&game, scheduler, 77, 1_000_000, &Obs::disabled());
         let sync_time = t1.elapsed();
 
         assert!(threaded.converged, "protocol terminates at equilibrium");

@@ -23,7 +23,7 @@ fn main() {
     println!("{} users, {} tasks\n", game.user_count(), game.task_count());
 
     // Reference: lossless protocol run.
-    let reference = run_sync(&game, SchedulerKind::Puu, 42, 1_000_000);
+    let reference = run_sync(&game, SchedulerKind::Puu, 42, 1_000_000, &Obs::disabled());
     println!(
         "lossless : {} slots, {} frames ({:.1} KiB)",
         reference.slots,
@@ -38,7 +38,14 @@ fn main() {
             seed: 1,
             max_retries: 100_000,
         };
-        let (out, stats) = run_lossy(&game, SchedulerKind::Puu, 42, 1_000_000, &loss);
+        let (out, stats) = run_lossy(
+            &game,
+            SchedulerKind::Puu,
+            42,
+            1_000_000,
+            &loss,
+            &Obs::disabled(),
+        );
         assert_eq!(
             out.profile, reference.profile,
             "loss must not change the equilibrium"
@@ -57,7 +64,14 @@ fn main() {
     // Stale information: counts refreshed every K slots only.
     println!();
     for refresh in [1usize, 2, 4, 8] {
-        let out = run_stale(&game, SchedulerKind::Puu, 42, 1_000_000, refresh);
+        let out = run_stale(
+            &game,
+            SchedulerKind::Puu,
+            42,
+            1_000_000,
+            refresh,
+            &Obs::disabled(),
+        );
         assert!(out.converged);
         assert!(
             is_nash(&game, &out.profile),

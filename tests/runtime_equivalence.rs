@@ -21,7 +21,7 @@ fn scenario_game(seed: u64, n_users: usize) -> Game {
 fn sync_runtime_terminates_at_nash() {
     let game = scenario_game(2, 20);
     for scheduler in [SchedulerKind::Suu, SchedulerKind::Puu] {
-        let out = run_sync(&game, scheduler, 4, 1_000_000);
+        let out = run_sync(&game, scheduler, 4, 1_000_000, &Obs::disabled());
         assert!(out.converged);
         assert!(is_nash(&game, &out.profile));
     }
@@ -32,8 +32,8 @@ fn threaded_matches_sync_on_scenario_games() {
     for seed in [0u64, 1, 2] {
         let game = scenario_game(seed, 15);
         for scheduler in [SchedulerKind::Suu, SchedulerKind::Puu] {
-            let sync = run_sync(&game, scheduler, seed, 1_000_000);
-            let threaded = run_threaded(&game, scheduler, seed, 1_000_000);
+            let sync = run_sync(&game, scheduler, seed, 1_000_000, &Obs::disabled());
+            let threaded = run_threaded(&game, scheduler, seed, 1_000_000, &Obs::disabled());
             assert_eq!(
                 sync, threaded,
                 "divergence: scheduler {scheduler:?} seed {seed}"
@@ -94,7 +94,7 @@ fn agent_request_matches_centralized_best_response() {
 #[test]
 fn runtime_profiles_validate_against_game() {
     let game = scenario_game(8, 25);
-    let out = run_threaded(&game, SchedulerKind::Puu, 123, 1_000_000);
+    let out = run_threaded(&game, SchedulerKind::Puu, 123, 1_000_000, &Obs::disabled());
     assert!(game.validate_profile(out.profile.choices()).is_ok());
     // Every user is on one of its own routes and cannot improve.
     for i in 0..game.user_count() {
@@ -111,8 +111,8 @@ fn puu_runtime_needs_fewer_slots() {
     let mut puu_total = 0usize;
     for seed in 0..5u64 {
         let game = scenario_game(seed + 40, 30);
-        suu_total += run_sync(&game, SchedulerKind::Suu, seed, 1_000_000).slots;
-        puu_total += run_sync(&game, SchedulerKind::Puu, seed, 1_000_000).slots;
+        suu_total += run_sync(&game, SchedulerKind::Suu, seed, 1_000_000, &Obs::disabled()).slots;
+        puu_total += run_sync(&game, SchedulerKind::Puu, seed, 1_000_000, &Obs::disabled()).slots;
     }
     assert!(
         puu_total <= suu_total,

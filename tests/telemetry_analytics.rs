@@ -18,8 +18,8 @@ fn scenario_game(seed: u64) -> Game {
 fn telemetry_identical_across_runtimes() {
     let game = scenario_game(1);
     for scheduler in [SchedulerKind::Suu, SchedulerKind::Puu] {
-        let sync = run_sync(&game, scheduler, 5, 1_000_000);
-        let threaded = run_threaded(&game, scheduler, 5, 1_000_000);
+        let sync = run_sync(&game, scheduler, 5, 1_000_000, &Obs::disabled());
+        let threaded = run_threaded(&game, scheduler, 5, 1_000_000, &Obs::disabled());
         assert_eq!(
             sync.telemetry, threaded.telemetry,
             "telemetry diverged: {scheduler:?}"
@@ -38,7 +38,7 @@ fn telemetry_accounting_is_closed() {
     // frames (initial + replies + updates) by precisely M.
     let game = scenario_game(2);
     let m = game.user_count();
-    let out = run_sync(&game, SchedulerKind::Puu, 9, 1_000_000);
+    let out = run_sync(&game, SchedulerKind::Puu, 9, 1_000_000, &Obs::disabled());
     assert!(out.converged);
     let t = out.telemetry;
     assert_eq!(
