@@ -205,17 +205,16 @@ pub fn run_distributed_naive(
     run_distributed_from_naive(game, algorithm, config, profile, &mut rng)
 }
 
-/// Runs the dynamics from an explicit starting profile (used by tests and by
-/// the message-passing runtime for cross-validation).
-///
-/// This is the incremental-engine driver: per slot it re-evaluates only the
-/// users whose best responses the previous slot's moves invalidated
-/// ([`Engine::take_dirty`]) and records the slot trace from the engine's
-/// O(1) running potential/total-profit. The RNG draw sequence — one `pick`
-/// per improving user in user order, then one scheduler draw — is identical
-/// to [`run_distributed_from_naive`], so trajectories match the reference
-/// bit for bit (slot-trace floats within `1e-9`).
-pub fn run_distributed_from(
+/// Runs the dynamics from an explicit starting profile: the
+/// incremental-engine driver behind [`run_distributed`]. Per slot it
+/// re-evaluates only the users whose best responses the previous slot's
+/// moves invalidated ([`Engine::take_dirty`]) and records the slot trace
+/// from the engine's O(1) running potential/total-profit. The RNG draw
+/// sequence — one `pick` per improving user in user order, then one
+/// scheduler draw — is identical to [`run_distributed_from_naive`], so
+/// trajectories match the reference bit for bit (slot-trace floats within
+/// `1e-9`).
+fn run_distributed_from(
     game: &Game,
     algorithm: DistributedAlgorithm,
     config: &RunConfig,
@@ -227,7 +226,7 @@ pub fn run_distributed_from(
 
 /// [`run_distributed_from`] with an observability handle (see
 /// [`run_distributed_observed`]).
-pub fn run_distributed_from_observed(
+fn run_distributed_from_observed(
     game: &Game,
     algorithm: DistributedAlgorithm,
     config: &RunConfig,
@@ -605,7 +604,7 @@ pub fn run_distributed_from_observed(
 /// Reference driver: the pre-engine implementation, recomputing every user's
 /// response and the full `ϕ`/total-profit each slot. Identical trajectories
 /// to [`run_distributed_from`] per seed; kept as the equivalence oracle.
-pub fn run_distributed_from_naive(
+fn run_distributed_from_naive(
     game: &Game,
     algorithm: DistributedAlgorithm,
     config: &RunConfig,

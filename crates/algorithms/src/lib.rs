@@ -36,9 +36,8 @@ pub use analytics::{profit_volatility, summarize, ConvergenceSummary};
 pub use anneal::{run_anneal, AnnealConfig, AnnealOutcome};
 pub use corn::{run_corn, run_exhaustive, CornOutcome};
 pub use dynamics::{
-    run_distributed, run_distributed_from, run_distributed_from_naive,
-    run_distributed_from_observed, run_distributed_naive, run_distributed_observed,
-    DistributedAlgorithm, RunConfig,
+    run_distributed, run_distributed_naive, run_distributed_observed, DistributedAlgorithm,
+    RunConfig,
 };
 pub use outcome::{RunOutcome, SlotTrace};
 pub use request::UpdateRequest;

@@ -116,8 +116,12 @@ impl FrameStamper {
     /// The `(seq, clock)` counters of one endpoint, for checkpoint codecs
     /// that must re-stamp a resumed run's remaining frames exactly as the
     /// uninterrupted run would have.
-    pub fn endpoint_state(&mut self, sender: u32) -> (u64, u64) {
-        let ep = self.endpoint(sender);
+    pub fn endpoint_state(&self, sender: u32) -> (u64, u64) {
+        let ep = if sender == PLATFORM_SENDER {
+            self.platform
+        } else {
+            self.users.get(sender as usize).copied().unwrap_or_default()
+        };
         (ep.seq, ep.clock)
     }
 

@@ -31,13 +31,9 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
 use vcs_core::ids::{RouteId, UserId};
 use vcs_core::{apply_churn, is_nash, Engine, Game, Profile};
-use vcs_obs::{
-    Event, FanoutSubscriber, LiveMonitor, Obs, ResponseKind, SpanKind, Subscriber, WatchdogConfig,
-    WatchdogSubscriber,
-};
+use vcs_obs::{Event, Obs, ResponseKind, SpanKind};
 
 use crate::stream::EventStream;
 
@@ -280,15 +276,6 @@ pub struct OnlineSim {
     /// replay and cold-restart baselines stay silent (they are internal
     /// validation machinery, not part of the simulated system).
     obs: Obs,
-    /// A live `/metrics` endpoint, when one was attached via
-    /// [`attach_monitor`](Self::attach_monitor). Kept on the sim so the
-    /// endpoint serves for the sim's whole lifetime.
-    monitor: Option<LiveMonitor>,
-    /// An invariant watchdog attached via
-    /// [`attach_watchdog`](Self::attach_watchdog) (standalone; a monitor
-    /// bound with [`attach_watched_monitor`](Self::attach_watched_monitor)
-    /// keeps its watchdog on the monitor instead).
-    watchdog: Option<Arc<WatchdogSubscriber>>,
 }
 
 impl OnlineSim {
@@ -312,18 +299,6 @@ impl OnlineSim {
             seed,
             max_slots_per_epoch,
             obs: Obs::disabled(),
-            monitor: None,
-            watchdog: None,
-        }
-    }
-
-    /// The watchdog configuration matched to this sim: the Theorem 4-style
-    /// slot budget is the per-epoch cap the scheduler itself enforces, so a
-    /// clean run can never trip it.
-    fn watchdog_config(&self) -> WatchdogConfig {
-        WatchdogConfig {
-            slot_budget: Some(self.max_slots_per_epoch as u64),
-            ..WatchdogConfig::default()
         }
     }
 
@@ -339,72 +314,6 @@ impl OnlineSim {
     pub fn set_obs(&mut self, obs: Obs) {
         self.engine.set_obs(obs.clone());
         self.obs = obs;
-    }
-
-    /// Binds a live `/metrics` endpoint on `addr` (use `"127.0.0.1:0"` for
-    /// an ephemeral port) and installs its stats subscriber as this sim's
-    /// observability handle, so a long [`run`](Self::run) can be scraped
-    /// mid-epoch. Returns the bound address. The endpoint serves until the
-    /// sim is dropped.
-    pub fn attach_monitor(
-        &mut self,
-        addr: impl std::net::ToSocketAddrs,
-    ) -> std::io::Result<std::net::SocketAddr> {
-        let monitor = LiveMonitor::bind(addr)?;
-        self.set_obs(monitor.obs());
-        let addr = monitor.addr();
-        self.monitor = Some(monitor);
-        Ok(addr)
-    }
-
-    /// The attached live monitor, when [`attach_monitor`](Self::attach_monitor)
-    /// was called.
-    pub fn monitor(&self) -> Option<&LiveMonitor> {
-        self.monitor.as_ref()
-    }
-
-    /// Attaches a [`WatchdogSubscriber`] watching the warm path's live
-    /// invariants — per-epoch ϕ monotonicity (Eq. 11), the per-epoch slot
-    /// budget and stale-livelock — with the slot budget set to this sim's
-    /// `max_slots_per_epoch`. When a monitor is already attached its stats
-    /// keep receiving every event through a fan-out. Returns the watchdog
-    /// for alert inspection after (or during) [`run`](Self::run).
-    pub fn attach_watchdog(&mut self) -> Arc<WatchdogSubscriber> {
-        let dog = Arc::new(WatchdogSubscriber::new(self.watchdog_config()));
-        let obs = match &self.monitor {
-            Some(monitor) => FanoutSubscriber::obs(vec![
-                Arc::clone(monitor.stats()) as Arc<dyn Subscriber>,
-                Arc::clone(&dog) as Arc<dyn Subscriber>,
-            ]),
-            None => Obs::new(Arc::clone(&dog) as Arc<dyn Subscriber>),
-        };
-        self.set_obs(obs);
-        self.watchdog = Some(Arc::clone(&dog));
-        dog
-    }
-
-    /// [`attach_monitor`](Self::attach_monitor) with a watchdog wired into
-    /// the endpoint: `/alerts` serves the structured alerts and `/metrics`
-    /// includes the `vcs_watchdog_*` counters, with the slot budget set to
-    /// this sim's `max_slots_per_epoch`.
-    pub fn attach_watched_monitor(
-        &mut self,
-        addr: impl std::net::ToSocketAddrs,
-    ) -> std::io::Result<std::net::SocketAddr> {
-        let monitor = LiveMonitor::bind_watched(addr, self.watchdog_config())?;
-        self.set_obs(monitor.obs());
-        let addr = monitor.addr();
-        self.monitor = Some(monitor);
-        Ok(addr)
-    }
-
-    /// The attached watchdog: the standalone one from
-    /// [`attach_watchdog`](Self::attach_watchdog), or the monitor's when
-    /// bound via [`attach_watched_monitor`](Self::attach_watched_monitor).
-    pub fn watchdog(&self) -> Option<&Arc<WatchdogSubscriber>> {
-        self.watchdog
-            .as_ref()
-            .or_else(|| self.monitor.as_ref().and_then(|m| m.watchdog()))
     }
 
     /// Drives the stream: initial convergence, then per epoch apply the
@@ -587,6 +496,17 @@ impl OnlineSim {
 mod tests {
     use super::*;
     use crate::stream::{synthetic_stream, StreamConfig};
+    use std::sync::Arc;
+    use vcs_obs::{LiveMonitor, WatchdogConfig, WatchdogSubscriber};
+
+    /// The per-epoch slot cap as the watchdog's slot budget: a clean run
+    /// can never trip it.
+    fn watchdog_config(max_slots_per_epoch: u64) -> WatchdogConfig {
+        WatchdogConfig {
+            slot_budget: Some(max_slots_per_epoch),
+            ..WatchdogConfig::default()
+        }
+    }
 
     fn small_config(seed: u64) -> StreamConfig {
         StreamConfig {
@@ -640,7 +560,8 @@ mod tests {
         for algo in [OnlineAlgorithm::Dgrn, OnlineAlgorithm::Brun] {
             let (game, stream) = synthetic_stream(&small_config(3));
             let mut sim = OnlineSim::new(game, algo, 3, 100_000);
-            let dog = sim.attach_watchdog();
+            let dog = Arc::new(WatchdogSubscriber::new(watchdog_config(100_000)));
+            sim.set_obs(Obs::new(dog.clone()));
             let report = sim.run(&stream);
             assert!(report.converged);
             assert_eq!(
@@ -659,11 +580,12 @@ mod tests {
         use std::io::{Read as _, Write as _};
         let (game, stream) = synthetic_stream(&small_config(5));
         let mut sim = OnlineSim::new(game, OnlineAlgorithm::Dgrn, 5, 100_000);
-        let addr = sim
-            .attach_watched_monitor("127.0.0.1:0")
-            .expect("ephemeral bind");
+        let monitor =
+            LiveMonitor::bind_watched("127.0.0.1:0", watchdog_config(100_000)).expect("bind");
+        sim.set_obs(monitor.obs());
+        let addr = monitor.addr();
         sim.run(&stream);
-        assert!(sim.watchdog().is_some());
+        assert!(monitor.watchdog().is_some());
         let mut conn = std::net::TcpStream::connect(addr).expect("connect");
         conn.write_all(b"GET /alerts HTTP/1.0\r\n\r\n").unwrap();
         let mut body = String::new();

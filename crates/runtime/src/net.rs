@@ -42,7 +42,8 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 }
 
 /// Reads one length-guarded frame written by [`write_frame`], returning the
-/// payload bytes.
+/// payload bytes. On a stream with a read timeout, use a [`FrameReader`]
+/// instead: this one-shot call drops a partial frame with its error.
 ///
 /// # Errors
 ///
@@ -50,24 +51,84 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 /// length prefix above [`MAX_MSG_LEN`] — a desynchronized or hostile stream
 /// is detected before any payload allocation.
 pub fn read_frame(r: &mut impl Read) -> io::Result<Vec<u8>> {
-    let mut head = [0u8; 8];
-    r.read_exact(&mut head)?;
-    if head[0..4] != MSG_MAGIC {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("bad frame magic {:02x?}", &head[0..4]),
-        ));
+    FrameReader::default().read_frame(r)
+}
+
+/// The resumable decoder of [`write_frame`]'s framing. It keeps a partial
+/// frame across `TimedOut`/`WouldBlock` errors, so a reader polling a
+/// stream with a read timeout (to notice a stop flag) resumes mid-frame
+/// instead of desynchronizing. It reads exactly one frame's bytes per
+/// frame, never past it.
+#[derive(Debug, Default)]
+pub struct FrameReader {
+    head: [u8; 8],
+    /// Bytes of the current frame read so far, header included.
+    filled: usize,
+    payload: Vec<u8>,
+}
+
+impl FrameReader {
+    /// Reads until the current frame is complete and returns its payload.
+    ///
+    /// # Errors
+    ///
+    /// As [`read_frame`]. An error from the underlying reader (such as
+    /// `TimedOut` or `WouldBlock`) leaves the partial frame in place; the
+    /// next call resumes it.
+    pub fn read_frame(&mut self, r: &mut impl Read) -> io::Result<Vec<u8>> {
+        while self.filled < self.head.len() {
+            self.filled += read_some(r, &mut self.head[self.filled..])?;
+            if self.filled == self.head.len() {
+                self.start_payload()?;
+            }
+        }
+        while self.filled < self.head.len() + self.payload.len() {
+            let at = self.filled - self.head.len();
+            self.filled += read_some(r, &mut self.payload[at..])?;
+        }
+        self.filled = 0;
+        Ok(std::mem::take(&mut self.payload))
     }
-    let len = u32::from_be_bytes(head[4..8].try_into().expect("4 bytes")) as usize;
-    if len > MAX_MSG_LEN {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame length {len} exceeds cap {MAX_MSG_LEN}"),
-        ));
+
+    /// Validates a complete header and sizes the payload buffer.
+    fn start_payload(&mut self) -> io::Result<()> {
+        let head = self.head;
+        if head[0..4] != MSG_MAGIC {
+            self.filled = 0;
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("bad frame magic {:02x?}", &head[0..4]),
+            ));
+        }
+        let len = u32::from_be_bytes(head[4..8].try_into().expect("4 bytes")) as usize;
+        if len > MAX_MSG_LEN {
+            self.filled = 0;
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("frame length {len} exceeds cap {MAX_MSG_LEN}"),
+            ));
+        }
+        self.payload = vec![0u8; len];
+        Ok(())
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    Ok(payload)
+}
+
+/// One `read` into a non-empty `buf`, retried on `Interrupted`; a closed
+/// stream is `UnexpectedEof`.
+fn read_some(r: &mut impl Read, buf: &mut [u8]) -> io::Result<usize> {
+    loop {
+        match r.read(buf) {
+            Ok(0) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    "stream closed",
+                ))
+            }
+            Ok(n) => return Ok(n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
 }
 
 /// Connects to `addr` with bounded exponential backoff: `attempts` tries,

@@ -1,23 +1,25 @@
 //! Deployment driver: one entry point ([`run_deployment`]) that runs a
 //! sharded game to its global fixpoint on any transport.
 //!
-//! * [`TransportKind::Channel`] — the in-process reference coordinator
-//!   ([`crate::ShardedSim`]), exactly what the `shard_runtime` binary ran
-//!   before socket transports existed.
+//! * [`TransportKind::Channel`] — the in-process lanes of
+//!   [`crate::ShardedSim`].
 //! * [`TransportKind::Tcp`] / [`TransportKind::Udp`] — one OS **process**
 //!   per shard (spawned from the current executable with `--worker`), a
 //!   coordinator-centric star protocol over [`crate::net`], per-round
 //!   worker checkpoints, and crash recovery by history replay.
 //!
-//! All three produce *byte-identical* per-shard JSONL dumps, merged
+//! Both modes drive the same coordinator round (`crate::sim::Rounds`) over
+//! a different link, and every shard runs the same lane code
+//! (`crate::sim::ShardLane`) in-process or inside a worker. So all three
+//! transports produce *byte-identical* per-shard JSONL dumps, merged
 //! post-mortems, and `outcome.txt` files for the same `(game, config)` —
-//! the transport-oracle suite enforces it. The determinism argument:
-//! every worker runs the same lane code and RNG streams as the channel
-//! coordinator, the boundary tie-break RNG is consumed coordinator-side
-//! (one draw per boundary user with a non-empty best-route set), and both
-//! socket transports deliver control messages reliably in order, so the
-//! logical trajectory is independent of loss, reorder, duplication, and
-//! latency.
+//! the transport-oracle suite enforces it, and the full-game replay of
+//! [`verify_outcome`] is the oracle for all of them. The determinism
+//! argument: the RNG streams are shared, the boundary tie-break RNG is
+//! consumed coordinator-side (one draw per boundary user with a non-empty
+//! best-route set), and both socket transports deliver control messages
+//! reliably in order, so the logical trajectory is independent of loss,
+//! reorder, duplication, and latency.
 //!
 //! ## Crash recovery
 //!
@@ -53,15 +55,11 @@ use crate::arq::FaultConfig;
 use crate::frame::BoundaryFrame;
 use crate::gen::localized_game;
 use crate::net::{CtrlMsg, PeerNet, TransportKind};
-use crate::partition::{partition, ShardPlan};
-use crate::sim::initial_profile;
+use crate::partition::partition;
+use crate::sim::{initial_profile, Link, Rounds};
 use crate::worker::WorkerConfig;
-use rand::rngs::StdRng;
-use rand::{RngExt, SeedableRng};
 use std::io;
 
-/// One shard's collected `Done` stream: `(profile entries, alerts, slots)`.
-type DoneStream = (Vec<(u32, u32)>, u64, u64);
 use std::path::{Path, PathBuf};
 use std::process::Child;
 use std::sync::Arc;
@@ -481,36 +479,29 @@ struct RoundRecord {
     steps: Vec<Step>,
 }
 
-impl RoundRecord {
-    fn new(round: u32, shards: usize) -> Self {
-        RoundRecord {
-            round,
-            interior: (0..shards).map(|_| None).collect(),
-            steps: Vec::new(),
-        }
-    }
-}
-
 enum RecvFail {
     /// The worker process has exited.
     Dead,
     Io(io::Error),
 }
 
+/// The worker processes as the coordinator round's [`Link`]: lock-step
+/// request/reply exchanges, the round history that crash recovery
+/// replays, the SIGKILL hook, the checkpoint barrier, and the coordinator's
+/// own telemetry.
 struct Coordinator {
     cfg: DeployConfig,
     transport: TransportKind,
     port: u16,
     net: PeerNet,
     children: Vec<Child>,
-    plan: ShardPlan,
-    boundary_rng: StdRng,
-    log: Vec<(UserId, RouteId)>,
     history: Vec<RoundRecord>,
     current: Option<RoundRecord>,
     interior_converged: Vec<bool>,
     slots: Vec<u64>,
     kill: Option<(usize, u32)>,
+    /// When the current round's boundary walk started.
+    boundary_start: Instant,
     /// Telemetry plane (all `None`/disabled unless `cfg.telemetry`).
     fleet: Option<Arc<FleetStats>>,
     stats: Option<Arc<StatsSubscriber>>,
@@ -525,10 +516,114 @@ struct Coordinator {
     _exporter: Option<MetricsExporter>,
 }
 
+impl Link for Coordinator {
+    type Error = io::Error;
+
+    /// Fires every shard's interior phase (they compute in parallel), then
+    /// collects per shard in ascending order — the merged log keeps the
+    /// shard-order serialization of channel mode.
+    fn interior(&mut self, round: u32, log: &mut Vec<(UserId, RouteId)>) -> io::Result<u64> {
+        self.current = Some(RoundRecord {
+            round,
+            interior: vec![None; self.cfg.shards],
+            steps: Vec::new(),
+        });
+        for s in 0..self.cfg.shards {
+            self.send_recovering(s, &CtrlMsg::RunInterior { round })?;
+        }
+        let mut total = 0u64;
+        for s in 0..self.cfg.shards {
+            let moves = self.collect_interior(s, round, true)?;
+            total += moves.len() as u64;
+            log.extend(moves.iter().map(|&(u, r)| {
+                (
+                    UserId::from_index(u as usize),
+                    RouteId::from_index(r as usize),
+                )
+            }));
+            self.current.as_mut().expect("in round").interior[s] = Some(moves);
+        }
+
+        // Fault-injection hook: SIGKILL right between the phases.
+        if let Some((ks, kr)) = self.kill {
+            if kr == round {
+                eprintln!(
+                    "coordinator: injecting SIGKILL into shard {ks} after round {round} interior"
+                );
+                let _ = self.children[ks].kill();
+                self.kill = None;
+            }
+        }
+        self.boundary_start = Instant::now();
+        Ok(total)
+    }
+
+    fn interior_converged(&self) -> bool {
+        self.interior_converged.iter().all(|&c| c)
+    }
+
+    fn best_routes(&mut self, home: usize, user: UserId) -> io::Result<Vec<RouteId>> {
+        let user = user.index() as u32;
+        match self.exchange(home, &CtrlMsg::BestRespond { user })? {
+            CtrlMsg::Routes { user: u, routes } if u == user => Ok(routes
+                .into_iter()
+                .map(|r| RouteId::from_index(r as usize))
+                .collect()),
+            other => Err(other_err(format!("expected Routes({user}), got {other:?}"))),
+        }
+    }
+
+    fn commit(&mut self, home: usize, user: UserId, route: RouteId) -> io::Result<usize> {
+        let (user, route) = (user.index() as u32, route.index() as u32);
+        let frame = match self.exchange(home, &CtrlMsg::Commit { user, route })? {
+            CtrlMsg::Committed { frame } => frame,
+            other => return Err(other_err(format!("expected Committed, got {other:?}"))),
+        };
+        for t in 0..self.cfg.shards {
+            if t != home {
+                self.apply_with_heal(t, &frame)?;
+            }
+        }
+        let len = frame.len();
+        self.current.as_mut().expect("in round").steps.push(Step {
+            user,
+            home,
+            route,
+            frame,
+        });
+        Ok(len)
+    }
+
+    /// Times the boundary walk, runs the checkpoint barrier when due,
+    /// files the round into the replay history, and publishes the
+    /// coordinator's telemetry frame.
+    fn end_round(&mut self, round: u32, converged: bool) -> io::Result<()> {
+        let nanos = elapsed_nanos(self.boundary_start);
+        self.obs.emit(|| Event::SpanRecorded {
+            kind: SpanKind::BoundarySerialize,
+            nanos,
+        });
+        let cfg = &self.cfg;
+        if round.is_multiple_of(cfg.ckpt_every.max(1)) || converged || round == cfg.max_rounds {
+            for s in 0..self.cfg.shards {
+                match self.exchange(s, &CtrlMsg::Checkpoint { round })? {
+                    CtrlMsg::CheckpointDone { round: r } if r == round => {}
+                    other => {
+                        return Err(other_err(format!("expected CheckpointDone, got {other:?}")))
+                    }
+                }
+            }
+        }
+        let record = self.current.take().expect("in round");
+        self.history.push(record);
+        self.publish_self_frame();
+        Ok(())
+    }
+}
+
 impl Coordinator {
     fn run(cfg: &DeployConfig, transport: TransportKind) -> io::Result<DeployOutcome> {
         let game = cfg.game();
-        let plan = partition(&game, cfg.shards);
         let net_obs = if transport == TransportKind::Udp {
             Obs::new(Arc::new(JsonlSubscriber::create(
                 &cfg.out_dir.join("net-coord.jsonl"),
@@ -562,14 +657,12 @@ impl Coordinator {
             port,
             net,
             children: Vec::new(),
-            plan,
-            boundary_rng: StdRng::seed_from_u64(cfg.seed ^ 0xB0D7_F1E1),
-            log: Vec::new(),
             history: Vec::new(),
             current: None,
             interior_converged: vec![false; cfg.shards],
             slots: vec![0; cfg.shards],
             kill: cfg.kill_shard,
+            boundary_start: Instant::now(),
             fleet,
             stats,
             obs,
@@ -590,65 +683,8 @@ impl Coordinator {
         }
 
         let start = Instant::now();
-        let mut round = 0u32;
-        let mut converged = false;
-        while !converged && round < cfg.max_rounds {
-            round += 1;
-            co.current = Some(RoundRecord::new(round, cfg.shards));
-
-            // Interior phase: fire all shards (they compute in parallel),
-            // then collect per shard in ascending order — the merged log
-            // keeps the channel coordinator's shard-order serialization.
-            for s in 0..cfg.shards {
-                co.send_recovering(s, &CtrlMsg::RunInterior { round })?;
-            }
-            let mut interior_total = 0u64;
-            for s in 0..cfg.shards {
-                let moves = co.collect_interior(s, round)?;
-                interior_total += moves.len() as u64;
-                co.log.extend(moves.iter().map(|&(u, r)| {
-                    (
-                        UserId::from_index(u as usize),
-                        RouteId::from_index(r as usize),
-                    )
-                }));
-                co.current.as_mut().expect("in round").interior[s] = Some(moves);
-            }
-
-            // Fault-injection hook: SIGKILL right between the phases.
-            if let Some((ks, kr)) = co.kill {
-                if kr == round {
-                    eprintln!("coordinator: injecting SIGKILL into shard {ks} after round {round} interior");
-                    let _ = co.children[ks].kill();
-                    co.kill = None;
-                }
-            }
-
-            let boundary_start = Instant::now();
-            let boundary = co.boundary_phase()?;
-            co.obs.emit(|| Event::SpanRecorded {
-                kind: SpanKind::BoundarySerialize,
-                nanos: elapsed_nanos(boundary_start),
-            });
-            converged = boundary == 0 && co.interior_converged.iter().all(|&c| c);
-
-            if round.is_multiple_of(cfg.ckpt_every.max(1)) || converged || round == cfg.max_rounds {
-                for s in 0..cfg.shards {
-                    match co.exchange(s, &CtrlMsg::Checkpoint { round })? {
-                        CtrlMsg::CheckpointDone { round: r } if r == round => {}
-                        other => {
-                            return Err(other_err(format!(
-                                "expected CheckpointDone, got {other:?}"
-                            )))
-                        }
-                    }
-                }
-            }
-            let record = co.current.take().expect("in round");
-            let _ = interior_total;
-            co.history.push(record);
-            co.publish_self_frame();
-        }
+        let mut rounds = Rounds::new(partition(&game, cfg.shards), cfg.seed);
+        rounds.run(&mut co, cfg.max_rounds)?;
 
         // Finish: collect final choices, alerts and slot counts.
         let n = game.users().len();
@@ -657,9 +693,26 @@ impl Coordinator {
         let mut alerts = 0u64;
         for s in 0..cfg.shards {
             co.send_recovering(s, &CtrlMsg::Finish)?;
-            let (entries, shard_alerts, shard_slots) = co.collect_done(s)?;
-            alerts += shard_alerts;
-            co.slots[s] = shard_slots;
+            let entries = match co.collect(s, &CtrlMsg::Finish, true)? {
+                (
+                    entries,
+                    CtrlMsg::Done {
+                        shard,
+                        alerts: shard_alerts,
+                        slots,
+                        entries: n,
+                    },
+                ) if shard as usize == s && n as usize == entries.len() => {
+                    alerts += shard_alerts;
+                    co.slots[s] = slots;
+                    entries
+                }
+                (_, other) => {
+                    return Err(other_err(format!(
+                        "shard {s}: inconsistent done stream ending {other:?}"
+                    )))
+                }
+            };
             for (u, r) in entries {
                 choices[u as usize] = RouteId::from_index(r as usize);
                 assigned[u as usize] = true;
@@ -675,17 +728,17 @@ impl Coordinator {
 
         let phi = potential(&game, &Profile::new(&game, choices.clone()));
         Ok(DeployOutcome {
-            converged,
-            rounds: round,
+            converged: rounds.progress.converged,
+            rounds: rounds.progress.rounds,
             phi,
             initial: initial_profile(&game, cfg.seed),
             choices,
-            log: co.log,
+            log: rounds.log,
             shard_slots: co.slots,
             alerts,
             net,
             wall_secs,
-            boundary_fraction: co.plan.boundary_fraction(),
+            boundary_fraction: rounds.plan.boundary_fraction(),
             span_quantiles: co
                 .fleet
                 .as_deref()
@@ -775,119 +828,61 @@ impl Coordinator {
         }
     }
 
-    /// Collects one shard's `InteriorPart*` + `InteriorDone` stream for
-    /// `round` (the `RunInterior` must already be sent), restarting the
-    /// whole phase for that shard across a death.
-    fn collect_interior(&mut self, s: usize, round: u32) -> io::Result<Vec<(u32, u32)>> {
-        'attempt: loop {
-            let mut moves: Vec<(u32, u32)> = Vec::new();
-            loop {
-                match self.recv_guarded(s) {
-                    Ok(CtrlMsg::InteriorPart { moves: m }) => moves.extend(m),
-                    Ok(CtrlMsg::InteriorDone {
-                        round: r,
-                        converged,
-                        slots,
-                        moves: n,
-                    }) => {
-                        if r != round || n as usize != moves.len() {
-                            return Err(other_err(format!(
-                                "shard {s} interior stream inconsistent: round {r}/{round}, {n} promised / {} received",
-                                moves.len()
-                            )));
-                        }
-                        self.interior_converged[s] = converged;
-                        self.slots[s] = slots;
-                        return Ok(moves);
-                    }
-                    Ok(other) => {
-                        return Err(other_err(format!(
-                            "shard {s}: expected interior stream, got {other:?}"
-                        )))
-                    }
-                    Err(RecvFail::Dead) => {
-                        self.recover(s)?;
-                        self.net.send(s, &CtrlMsg::RunInterior { round })?;
-                        continue 'attempt;
-                    }
-                    Err(RecvFail::Io(e)) => return Err(e),
+    /// Collects shard `s`'s chunked reply to `request` (already sent):
+    /// its `InteriorPart`s or `DonePart`s, then the closing message. With
+    /// `retry`, a death recovers the worker and restarts the stream;
+    /// without (during a recovery replay), a second death is fatal.
+    fn collect(
+        &mut self,
+        s: usize,
+        request: &CtrlMsg,
+        retry: bool,
+    ) -> io::Result<(Vec<(u32, u32)>, CtrlMsg)> {
+        let interior = matches!(request, CtrlMsg::RunInterior { .. });
+        let mut pairs = Vec::new();
+        loop {
+            match self.recv_guarded(s) {
+                Ok(CtrlMsg::InteriorPart { moves }) if interior => pairs.extend(moves),
+                Ok(CtrlMsg::DonePart { entries }) if !interior => pairs.extend(entries),
+                Ok(end) => return Ok((pairs, end)),
+                Err(RecvFail::Dead) if retry => {
+                    self.recover(s)?;
+                    self.net.send(s, request)?;
+                    pairs.clear();
                 }
+                Err(RecvFail::Dead) => return Err(died_in_replay(s)),
+                Err(RecvFail::Io(e)) => return Err(e),
             }
         }
     }
 
-    /// Collects one shard's `DonePart*` + `Done` stream (the `Finish` must
-    /// already be sent). Returns `(entries, alerts, slots)`.
-    fn collect_done(&mut self, s: usize) -> io::Result<DoneStream> {
-        'attempt: loop {
-            let mut entries: Vec<(u32, u32)> = Vec::new();
-            loop {
-                match self.recv_guarded(s) {
-                    Ok(CtrlMsg::DonePart { entries: e }) => entries.extend(e),
-                    Ok(CtrlMsg::Done {
-                        shard,
-                        alerts,
-                        slots,
-                        entries: n,
-                    }) => {
-                        if shard as usize != s || n as usize != entries.len() {
-                            return Err(other_err(format!("shard {s} done stream inconsistent")));
-                        }
-                        return Ok((entries, alerts, slots));
-                    }
-                    Ok(other) => {
-                        return Err(other_err(format!(
-                            "shard {s}: expected done stream, got {other:?}"
-                        )))
-                    }
-                    Err(RecvFail::Dead) => {
-                        self.recover(s)?;
-                        self.net.send(s, &CtrlMsg::Finish)?;
-                        continue 'attempt;
-                    }
-                    Err(RecvFail::Io(e)) => return Err(e),
-                }
+    /// Collects shard `s`'s interior phase of `round` (see
+    /// [`Coordinator::collect`]).
+    fn collect_interior(
+        &mut self,
+        s: usize,
+        round: u32,
+        retry: bool,
+    ) -> io::Result<Vec<(u32, u32)>> {
+        match self.collect(s, &CtrlMsg::RunInterior { round }, retry)? {
+            (
+                moves,
+                CtrlMsg::InteriorDone {
+                    round: r,
+                    converged,
+                    slots,
+                    moves: n,
+                },
+            ) if r == round && n as usize == moves.len() => {
+                self.interior_converged[s] = converged;
+                self.slots[s] = slots;
+                Ok(moves)
             }
+            (moves, other) => Err(other_err(format!(
+                "shard {s}: inconsistent interior stream for round {round} ({} moves, then {other:?})",
+                moves.len()
+            ))),
         }
-    }
-
-    /// The boundary phase of the current round: every boundary user
-    /// best-responds in its home shard; commits broadcast to all replicas.
-    fn boundary_phase(&mut self) -> io::Result<u64> {
-        let boundary: Vec<UserId> = self.plan.boundary_users().to_vec();
-        let mut committed = 0u64;
-        for g in boundary {
-            let home = self.plan.home_of(g);
-            let user = g.index() as u32;
-            let routes = match self.exchange(home, &CtrlMsg::BestRespond { user })? {
-                CtrlMsg::Routes { user: u, routes } if u == user => routes,
-                other => return Err(other_err(format!("expected Routes({user}), got {other:?}"))),
-            };
-            if routes.is_empty() {
-                continue;
-            }
-            // The single tie-break draw per improving boundary user — the
-            // same stream position as the channel coordinator's.
-            let route = routes[self.boundary_rng.random_range(0..routes.len())];
-            let frame = match self.exchange(home, &CtrlMsg::Commit { user, route })? {
-                CtrlMsg::Committed { frame } => frame,
-                other => return Err(other_err(format!("expected Committed, got {other:?}"))),
-            };
-            for t in 0..self.cfg.shards {
-                if t != home {
-                    self.apply_with_heal(t, &frame)?;
-                }
-            }
-            self.current.as_mut().expect("in round").steps.push(Step {
-                user,
-                home,
-                route,
-                frame,
-            });
-            self.log.push((g, RouteId::from_index(route as usize)));
-            committed += 1;
-        }
-        Ok(committed)
     }
 
     /// Applies `frame` at replica `t`, healing `FrameGap` replies by
@@ -976,85 +971,53 @@ impl Coordinator {
             }
         };
 
-        // Replay completed rounds this worker's checkpoint predates.
-        let history_len = self.history.len();
-        for i in 0..history_len {
-            if self.history[i].round > ckpt_round {
-                self.replay_round(s, i, None)?;
-            }
-        }
-        // Replay the completed part of the in-flight round, if its
-        // interior for this shard was already collected (otherwise the
-        // caller's retried RunInterior covers it).
-        if let Some(rec) = self.current.take() {
-            if rec.interior[s].is_some() {
-                self.replay_current(s, &rec)?;
-            }
-            self.current = Some(rec);
-        }
+        // Replay completed rounds this worker's checkpoint predates, then
+        // the completed part of the in-flight round if its interior for
+        // this shard was already collected (otherwise the caller's retried
+        // RunInterior covers it).
+        let history = std::mem::take(&mut self.history);
+        let current = self.current.take();
+        let replayed = history
+            .iter()
+            .filter(|rec| rec.round > ckpt_round)
+            .chain(current.iter().filter(|rec| rec.interior[s].is_some()))
+            .try_for_each(|rec| self.replay(s, rec));
+        self.history = history;
+        self.current = current;
+        replayed?;
         eprintln!(
             "coordinator: shard {s} recovered (checkpoint round {ckpt_round}, replayed to present)"
         );
         Ok(())
     }
 
-    /// Replays one completed history round for shard `s`: re-run its
-    /// interior (asserting determinism) and re-issue every recorded step.
-    fn replay_round(&mut self, s: usize, index: usize, _: Option<()>) -> io::Result<()> {
-        let round = self.history[index].round;
-        self.net.send(s, &CtrlMsg::RunInterior { round })?;
-        let moves = self.collect_interior_plain(s, round)?;
-        let expected = self.history[index].interior[s]
-            .as_deref()
-            .expect("completed round has all interiors");
-        if moves != expected {
-            return Err(other_err(format!(
-                "shard {s} replay diverged in round {round}: interior moves differ"
-            )));
-        }
-        let steps = self.history[index].steps.len();
-        for i in 0..steps {
-            let (user, home, route, frame) = {
-                let st = &self.history[index].steps[i];
-                (st.user, st.home, st.route, st.frame.clone())
-            };
-            self.replay_step(s, user, home, route, &frame)?;
-        }
-        Ok(())
-    }
-
-    fn replay_current(&mut self, s: usize, rec: &RoundRecord) -> io::Result<()> {
+    /// Replays one recorded round for shard `s`: re-run its interior
+    /// (asserting determinism) and re-issue every recorded step.
+    fn replay(&mut self, s: usize, rec: &RoundRecord) -> io::Result<()> {
         self.net
             .send(s, &CtrlMsg::RunInterior { round: rec.round })?;
-        let moves = self.collect_interior_plain(s, rec.round)?;
-        let expected = rec.interior[s].as_deref().expect("checked by caller");
-        if moves != expected {
+        let moves = self.collect_interior(s, rec.round, false)?;
+        if Some(&moves) != rec.interior[s].as_ref() {
             return Err(other_err(format!(
                 "shard {s} replay diverged in round {}: interior moves differ",
                 rec.round
             )));
         }
         for st in &rec.steps {
-            self.replay_step(s, st.user, st.home, st.route, &st.frame)?;
+            self.replay_step(s, st)?;
         }
         Ok(())
     }
 
-    fn replay_step(
-        &mut self,
-        s: usize,
-        user: u32,
-        home: usize,
-        route: u32,
-        frame: &[u8],
-    ) -> io::Result<()> {
-        if home == s {
+    fn replay_step(&mut self, s: usize, st: &Step) -> io::Result<()> {
+        if st.home == s {
             // Re-commit at home: the restarted worker rolled back to its
             // checkpoint, so this applies exactly once and must reproduce
             // the recorded frame bit-for-bit.
+            let (user, route) = (st.user, st.route);
             self.net.send(s, &CtrlMsg::Commit { user, route })?;
-            match self.recv_plain(s)? {
-                CtrlMsg::Committed { frame: f } if f == frame => Ok(()),
+            match self.recv_replay(s)? {
+                CtrlMsg::Committed { frame } if frame == st.frame => Ok(()),
                 CtrlMsg::Committed { .. } => Err(other_err(format!(
                     "shard {s} replay diverged: re-committed frame differs for user {user}"
                 ))),
@@ -1063,51 +1026,21 @@ impl Coordinator {
         } else {
             // Re-apply at a replica: absorbed by the applied-seq table if
             // the checkpoint already covered it.
-            self.net.send(
-                s,
-                &CtrlMsg::Apply {
-                    frame: frame.to_vec(),
-                },
-            )?;
-            match self.recv_plain(s)? {
+            let frame = st.frame.clone();
+            self.net.send(s, &CtrlMsg::Apply { frame })?;
+            match self.recv_replay(s)? {
                 CtrlMsg::Applied { .. } => Ok(()),
                 other => Err(other_err(format!("expected Applied, got {other:?}"))),
             }
         }
     }
 
-    /// Plain recv during recovery — a second death mid-recovery is fatal.
-    fn recv_plain(&mut self, s: usize) -> io::Result<CtrlMsg> {
+    /// Receive during a recovery replay — a second death is fatal.
+    fn recv_replay(&mut self, s: usize) -> io::Result<CtrlMsg> {
         match self.recv_guarded(s) {
             Ok(msg) => Ok(msg),
-            Err(RecvFail::Dead) => Err(other_err(format!(
-                "shard {s} died again during recovery replay"
-            ))),
+            Err(RecvFail::Dead) => Err(died_in_replay(s)),
             Err(RecvFail::Io(e)) => Err(e),
-        }
-    }
-
-    fn collect_interior_plain(&mut self, s: usize, round: u32) -> io::Result<Vec<(u32, u32)>> {
-        let mut moves: Vec<(u32, u32)> = Vec::new();
-        loop {
-            match self.recv_plain(s)? {
-                CtrlMsg::InteriorPart { moves: m } => moves.extend(m),
-                CtrlMsg::InteriorDone {
-                    round: r, moves: n, ..
-                } => {
-                    if r != round || n as usize != moves.len() {
-                        return Err(other_err(format!(
-                            "shard {s} replay interior stream inconsistent"
-                        )));
-                    }
-                    return Ok(moves);
-                }
-                other => {
-                    return Err(other_err(format!(
-                        "shard {s} replay: expected interior stream, got {other:?}"
-                    )))
-                }
-            }
         }
     }
 
@@ -1133,6 +1066,10 @@ impl Coordinator {
             self.net.idle_pump(Duration::from_millis(50));
         }
     }
+}
+
+fn died_in_replay(s: usize) -> io::Error {
+    other_err(format!("shard {s} died again during recovery replay"))
 }
 
 /// Decodes one telemetry frame off the control socket and folds it into the

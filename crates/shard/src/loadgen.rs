@@ -32,7 +32,7 @@ use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use vcs_obs::LatencyHistogram;
-use vcs_runtime::net::{connect_with_backoff, read_frame, write_frame};
+use vcs_runtime::net::{connect_with_backoff, read_frame, write_frame, FrameReader};
 use vcs_runtime::{ServeReply, ServeReplyBody, ServeRequest, ServeRequestBody, ANY_SHARD};
 
 /// Shape of one load generation run.
@@ -192,8 +192,9 @@ pub fn run_loadgen(opts: &LoadgenOptions) -> io::Result<LoadReport> {
         let _ = r.set_read_timeout(Some(Duration::from_millis(100)));
         std::thread::spawn(move || {
             let mut drain_deadline: Option<Instant> = None;
+            let mut frames = FrameReader::default();
             loop {
-                match read_frame(&mut r) {
+                match frames.read_frame(&mut r) {
                     Ok(payload) => {
                         let now = Instant::now();
                         let Ok(reply) = ServeReply::decode(Bytes::from(payload)) else {

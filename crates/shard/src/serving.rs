@@ -56,7 +56,7 @@ use vcs_obs::{
     SloMonitor, SpanKind, StatsSubscriber, Subscriber, TelemetryFrame, COORD_SHARD,
 };
 use vcs_online::{ServeCore, ServeCoreConfig};
-use vcs_runtime::net::{read_frame, write_frame};
+use vcs_runtime::net::{write_frame, FrameReader};
 use vcs_runtime::{
     RejectReason, ServeReply, ServeReplyBody, ServeRequest, ServeRequestBody, ANY_SHARD,
 };
@@ -490,13 +490,15 @@ fn handle_conn(stream: TcpStream, state: &ServerState) {
 /// server stop.
 fn read_loop(mut stream: TcpStream, state: &ServerState, reply_tx: &Sender<WriterMsg>) {
     // The short read timeout is what lets the reader notice the stop flag
-    // on an idle connection; between requests a timeout consumes nothing.
+    // on an idle connection; the frame reader resumes a frame a timeout
+    // interrupted.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
+    let mut frames = FrameReader::default();
     loop {
         if state.stop.load(Ordering::SeqCst) {
             return;
         }
-        let payload = match read_frame(&mut stream) {
+        let payload = match frames.read_frame(&mut stream) {
             Ok(p) => p,
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
@@ -602,7 +604,7 @@ fn read_loop(mut stream: TcpStream, state: &ServerState, reply_tx: &Sender<Write
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vcs_runtime::net::connect_with_backoff;
+    use vcs_runtime::net::{connect_with_backoff, read_frame};
 
     fn tiny_options() -> ServeOptions {
         ServeOptions {

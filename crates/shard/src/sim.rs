@@ -1,4 +1,5 @@
-//! The sharded multi-engine simulator and its boundary-sync coordinator.
+//! The sharded multi-engine simulator, the shard lane every execution mode
+//! runs, and the coordinator round they share.
 //!
 //! [`ShardedSim`] runs one incremental [`Engine`] per shard, each over the
 //! sub-game induced by the shard's members (its interior users plus *every*
@@ -25,6 +26,23 @@
 //! equilibrium of the full game (the oracle tests replay the merged log on
 //! a single full-game engine and check `ϕ` agreement to 1e-9).
 //!
+//! ## One lane, one round
+//!
+//! Everything a shard does is a method of `ShardLane`: construction from
+//! `(game, plan, shard, initial profile, seed)`, the interior phase, the
+//! home commit (`apply_move` → `SlotCompleted` → stamp → frame encode →
+//! `FrameSent`), the replica apply (idempotent on `(sender, seq)`, with gap
+//! detection), and the lane's checkpoint state. Each lane owns its causal
+//! stamp endpoint. [`ShardedSim`]'s in-process lanes and the worker
+//! processes of a socket deployment (`crate::worker`) run the same lane
+//! code.
+//!
+//! The coordinator round — interior phases merged in shard order, the
+//! boundary walk with its one tie-break draw per improving boundary user,
+//! the fixpoint test — is `Rounds::step`, generic over a `Link` to the
+//! lanes: the in-process one here, or the worker processes driven by the
+//! multi-process coordinator (`crate::deploy`).
+//!
 //! Everything is deterministic in `(game, config)`: per-shard RNGs and the
 //! coordinator RNG are derived from the config seed, and the threaded
 //! driver ([`ShardedSim::run_parallel`]) produces bit-identical results to
@@ -35,15 +53,17 @@
 //! [`Engine::apply_move`]: vcs_core::Engine::apply_move
 //! [`Engine::apply_remote_move`]: vcs_core::Engine::apply_remote_move
 
-use crate::frame::BoundaryFrame;
+use crate::frame::{BoundaryFrame, FRAME_LEN};
 use crate::partition::{partition, ShardPlan};
 use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
+use std::convert::Infallible;
+use std::io;
 use vcs_core::bounds::slot_upper_bound;
 use vcs_core::ids::{RouteId, UserId};
 use vcs_core::{BestResponse, Engine, Game, Profile};
-use vcs_obs::{Event, FrameStamper, Obs};
+use vcs_obs::{Event, FrameStamp, FrameStamper, Obs, SpanKind};
 use vcs_online::{Snapshot, SnapshotError};
 
 /// Configuration of a sharded run.
@@ -72,43 +92,154 @@ impl ShardConfig {
     }
 }
 
-/// One shard's lane: its engine over the member sub-game, its RNG, and the
-/// driver-side best-response cache for its interior (driven) users. Shared
-/// between the in-process coordinator ([`ShardedSim`]) and the socket-mode
-/// worker process (`crate::worker`), which is what keeps the two execution
-/// modes bit-identical.
+/// The seeded random initial profile every execution mode starts from: one
+/// uniform route per user, drawn in user-id order — matching the
+/// single-engine dynamics' initialisation.
+pub(crate) fn initial_profile(game: &Game, seed: u64) -> Vec<RouteId> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    game.users()
+        .iter()
+        .map(|u| RouteId::from_index(rng.random_range(0..u.routes.len())))
+        .collect()
+}
+
+/// Shard `s`'s lane RNG seed, derived from the config seed: a deployment is
+/// a pure function of `(game, config)` regardless of transport.
+fn lane_seed(seed: u64, s: usize) -> u64 {
+    seed.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(s as u64 + 1))
+}
+
+/// One shard's lane: its engine over the member sub-game, the member ↔
+/// local id maps, its RNG, its causal-stamp endpoint, the applied-frame
+/// table, and the driver-side best-response cache for its interior
+/// (driven) users. See the module docs.
 pub(crate) struct ShardLane {
+    shard: usize,
+    /// Local id → global id.
+    members: Vec<UserId>,
+    /// Global id → local id (`u32::MAX` when absent; boundary users are
+    /// members of every lane, interior users only of their home).
+    local_of: Vec<u32>,
     pub(crate) engine: Engine<'static>,
-    pub(crate) rng: StdRng,
-    pub(crate) obs: Obs,
-    /// Local id → this lane drives the user in phase 1 (interior & home).
-    pub(crate) driven: Vec<bool>,
+    rng: StdRng,
+    /// The lane's event stream: the engine's `MoveCommitted`, then
+    /// `SlotCompleted` and the stamped `FrameSent` / `FrameReceived`.
+    obs: Obs,
+    /// Wall-clock spans of the interior phase and the frame encode. Kept
+    /// off `obs`, so spans never reach a deterministic dump; disabled
+    /// unless a worker installs one.
+    pub(crate) span_obs: Obs,
+    /// Local id → this lane drives the user in phase 1 (interior users).
+    driven: Vec<bool>,
     /// Cached best responses, maintained for driven users only.
-    pub(crate) responses: Vec<BestResponse>,
-    pub(crate) improving_flag: Vec<bool>,
+    responses: Vec<BestResponse>,
+    improving_flag: Vec<bool>,
     /// Sorted local ids of driven users with a non-empty best-route set.
-    pub(crate) improving: Vec<u32>,
-    pub(crate) drained: Vec<UserId>,
-    pub(crate) edits: Vec<(u32, bool)>,
+    improving: Vec<u32>,
+    drained: Vec<UserId>,
+    edits: Vec<(u32, bool)>,
     /// Decision slots committed at this shard (interior + boundary-home).
     pub(crate) slots: u64,
     /// Whether the last interior phase ended at a local fixpoint (as
     /// opposed to the slot cap).
     pub(crate) converged: bool,
+    /// Stamps this lane's frames; only the endpoint `shard` is used.
+    stamper: FrameStamper,
+    /// Per-sender-shard applied-frame high-water marks.
+    applied: Vec<u64>,
+}
+
+/// A lane's resumable state besides its engine snapshot.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct LaneState {
+    pub(crate) rng: StdRng,
+    pub(crate) slots: u64,
+    /// The lane's stamp endpoint as `(seq, clock)`.
+    pub(crate) stamp: (u64, u64),
+    /// Per-sender-shard applied-frame high-water marks.
+    pub(crate) applied: Vec<u64>,
+}
+
+/// What a replica did with a boundary frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum FrameApplied {
+    /// Applied now, or already applied before (a duplicate): acknowledge
+    /// `seq`.
+    Ack { seq: u64 },
+    /// Frames `from_seq..` of sender `shard` are missing; nothing applied.
+    Gap { shard: u32, from_seq: u64 },
+}
+
+fn invalid(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
 impl ShardLane {
-    /// Wraps an engine as a lane with fresh driver caches. `driven[l]` marks
-    /// the local users this lane's interior phase moves (interior users of
-    /// the shard, i.e. everyone except boundary replicas and boundary
-    /// homes).
-    pub(crate) fn build(engine: Engine<'static>, rng: StdRng, driven: Vec<bool>) -> Self {
-        let m = driven.len();
-        assert_eq!(m, engine.game().users().len(), "one driven flag per user");
+    /// Lane `shard` of `plan` over `game`, started from the global
+    /// `initial` profile with the lane RNG derived from `seed`.
+    pub(crate) fn new(
+        game: &Game,
+        plan: &ShardPlan,
+        shard: usize,
+        initial: &[RouteId],
+        seed: u64,
+    ) -> Self {
+        let members = plan.members(shard);
+        let choices: Vec<RouteId> = members.iter().map(|&g| initial[g.index()]).collect();
+        let sub = game.subgame(&members);
+        let profile = Profile::new(&sub, choices);
+        let engine = Engine::new_owned(sub, profile);
+        let rng = StdRng::seed_from_u64(lane_seed(seed, shard));
+        Self::assemble(game, plan, shard, members, engine, rng)
+    }
+
+    /// Lane `shard` of `plan` over `game`, restored from its checkpoint.
+    pub(crate) fn restore(
+        game: &Game,
+        plan: &ShardPlan,
+        shard: usize,
+        snapshot: Bytes,
+        state: LaneState,
+    ) -> Result<Self, SnapshotError> {
+        let snapshot = Snapshot::decode(snapshot)?;
+        let members = plan.members(shard);
+        assert_eq!(
+            snapshot.game.users().len(),
+            members.len(),
+            "shard {shard} snapshot user count must match the plan"
+        );
+        let mut lane = Self::assemble(game, plan, shard, members, snapshot.restore(), state.rng);
+        lane.slots = state.slots;
+        lane.stamper
+            .restore_endpoint(shard as u32, state.stamp.0, state.stamp.1);
+        lane.applied = state.applied;
+        Ok(lane)
+    }
+
+    fn assemble(
+        game: &Game,
+        plan: &ShardPlan,
+        shard: usize,
+        members: Vec<UserId>,
+        engine: Engine<'static>,
+        rng: StdRng,
+    ) -> Self {
+        let m = members.len();
+        assert_eq!(m, engine.game().users().len(), "one engine user per member");
+        let mut local_of = vec![u32::MAX; game.users().len()];
+        let mut driven = vec![false; m];
+        for (l, &g) in members.iter().enumerate() {
+            local_of[g.index()] = l as u32;
+            driven[l] = !plan.is_boundary(g);
+        }
         ShardLane {
+            shard,
+            members,
+            local_of,
             engine,
             rng,
             obs: Obs::default(),
+            span_obs: Obs::default(),
             driven,
             responses: (0..m)
                 .map(|_| BestResponse {
@@ -123,25 +254,399 @@ impl ShardLane {
             edits: Vec::new(),
             slots: 0,
             converged: false,
+            stamper: FrameStamper::default(),
+            applied: vec![0; plan.shards()],
         }
+    }
+
+    /// Routes the lane's events into `obs` (the engine emits its
+    /// `EngineInit` there right away).
+    pub(crate) fn set_obs(&mut self, obs: Obs) {
+        self.engine.set_obs(obs.clone());
+        self.obs = obs;
+    }
+
+    /// The engine snapshot and the rest of the lane's resumable state.
+    pub(crate) fn checkpoint(&self) -> (Bytes, LaneState) {
+        let state = LaneState {
+            rng: self.rng.clone(),
+            slots: self.slots,
+            stamp: self.stamper.endpoint_state(self.shard as u32),
+            applied: self.applied.clone(),
+        };
+        (Snapshot::capture(&self.engine).encode(), state)
+    }
+
+    fn local(&self, user: UserId) -> UserId {
+        let l = self.local_of[user.index()];
+        assert_ne!(
+            l,
+            u32::MAX,
+            "user {} is not a member of shard {}",
+            user.index(),
+            self.shard
+        );
+        UserId::from_index(l as usize)
+    }
+
+    /// The current route of member `user` (global id).
+    pub(crate) fn choice(&self, user: UserId) -> RouteId {
+        self.engine.profile().choice(self.local(user))
+    }
+
+    /// `(global id, route)` of every user this lane is the home of.
+    pub(crate) fn home_choices<'a>(
+        &'a self,
+        plan: &'a ShardPlan,
+    ) -> impl Iterator<Item = (UserId, RouteId)> + 'a {
+        self.members
+            .iter()
+            .enumerate()
+            .filter(move |&(_, &g)| plan.home_of(g) == self.shard)
+            .map(move |(l, &g)| (g, self.engine.profile().choice(UserId::from_index(l))))
+    }
+
+    /// Counts one decision slot and emits its `SlotCompleted`.
+    fn complete_slot(&mut self) {
+        self.slots += 1;
+        let (slot, phi, total) = (
+            self.slots,
+            self.engine.potential(),
+            self.engine.total_profit(),
+        );
+        self.obs.emit(|| Event::SlotCompleted {
+            slot,
+            updated: 1,
+            phi,
+            total_profit: total,
+        });
+    }
+
+    /// Runs the interior phase to a local fixpoint (or `cap` slots),
+    /// appending committed moves as global `(user, route)` pairs to `out`.
+    /// Returns the number of moves committed by this call.
+    pub(crate) fn converge_interior(&mut self, cap: u64, out: &mut Vec<(UserId, RouteId)>) -> u64 {
+        let span_obs = self.span_obs.clone();
+        let _span = span_obs.span(SpanKind::InteriorConverge);
+        let mut done = 0u64;
+        loop {
+            // Refresh responses for users dirtied since the last slot and
+            // keep the sorted improving set in sync (incremental edits,
+            // falling back to a rebuild when the batch of changes is large).
+            self.engine.take_dirty_into(&mut self.drained);
+            for &u in &self.drained {
+                let i = u.index();
+                if !self.driven[i] {
+                    continue;
+                }
+                self.engine.best_route_set_into(u, &mut self.responses[i]);
+                let now = !self.responses[i].best_routes.is_empty();
+                if now != self.improving_flag[i] {
+                    self.improving_flag[i] = now;
+                    self.edits.push((i as u32, now));
+                }
+            }
+            if self.edits.len() > self.improving.len() / 8 + 32 {
+                self.improving.clear();
+                self.improving.extend(
+                    (0..self.improving_flag.len())
+                        .filter(|&i| self.improving_flag[i])
+                        .map(|i| i as u32),
+                );
+            } else {
+                for &(i, now) in &self.edits {
+                    match self.improving.binary_search(&i) {
+                        Ok(at) if !now => {
+                            self.improving.remove(at);
+                        }
+                        Err(at) if now => {
+                            self.improving.insert(at, i);
+                        }
+                        _ => {}
+                    }
+                }
+            }
+            self.edits.clear();
+
+            if self.improving.is_empty() {
+                self.converged = true;
+                return done;
+            }
+            if done >= cap {
+                self.converged = false;
+                return done;
+            }
+
+            // SUU grant: one uniform pick among improving users, then a
+            // uniform tie-break among that user's best-route set.
+            let local = self.improving[self.rng.random_range(0..self.improving.len())];
+            let user = UserId::from_index(local as usize);
+            let resp = &self.responses[local as usize];
+            let route = resp.best_routes[self.rng.random_range(0..resp.best_routes.len())];
+            self.engine.apply_move(user, route);
+            self.complete_slot();
+            done += 1;
+            out.push((self.members[local as usize], route));
+        }
+    }
+
+    /// The best-route set of member `user` (global id).
+    pub(crate) fn best_routes(&self, user: UserId) -> Vec<RouteId> {
+        self.engine.best_route_set(self.local(user)).best_routes
+    }
+
+    /// Commits `user → route` at its home lane: the one `MoveCommitted` of
+    /// the move (from the engine), then `SlotCompleted`, then the stamped
+    /// `FrameSent` of the boundary frame returned for the replicas.
+    pub(crate) fn commit(&mut self, user: UserId, route: RouteId) -> [u8; FRAME_LEN] {
+        let from = self.engine.apply_move(self.local(user), route);
+        self.complete_slot();
+        let stamp = self.stamper.send(self.shard as u32);
+        let frame = BoundaryFrame {
+            shard: self.shard as u32,
+            user: user.index() as u32,
+            from_route: from.index() as u32,
+            to_route: route.index() as u32,
+            seq: stamp.seq,
+            lamport: stamp.lamport,
+        };
+        let wire = self
+            .span_obs
+            .time(SpanKind::BoundarySerialize, || frame.encode());
+        let len = wire.len() as u32;
+        self.obs.emit(|| Event::FrameSent {
+            bytes: len,
+            seq: stamp.seq,
+            lamport: stamp.lamport,
+        });
+        wire
+    }
+
+    /// Applies one boundary frame from another lane silently, exactly once
+    /// per `(sender shard, seq)`: a frame at or below the sender's applied
+    /// high-water mark is acknowledged without being re-applied, and one
+    /// that would skip ahead reports the gap instead of applying out of
+    /// order.
+    ///
+    /// # Errors
+    ///
+    /// `InvalidData` for an undecodable frame or one from an invalid
+    /// sender.
+    pub(crate) fn apply_frame(&mut self, frame: &[u8]) -> io::Result<FrameApplied> {
+        let f = BoundaryFrame::decode(frame).map_err(|e| invalid(format!("{e:?}")))?;
+        let src = f.shard as usize;
+        if src >= self.applied.len() || src == self.shard {
+            return Err(invalid(format!("frame from invalid shard {src}")));
+        }
+        let hi = self.applied[src];
+        if f.seq <= hi {
+            return Ok(FrameApplied::Ack { seq: f.seq });
+        }
+        if f.seq > hi + 1 {
+            return Ok(FrameApplied::Gap {
+                shard: f.shard,
+                from_seq: hi + 1,
+            });
+        }
+        let local = self.local(UserId::from_index(f.user as usize));
+        self.engine
+            .apply_remote_move(local, RouteId::from_index(f.to_route as usize));
+        let rx = self.stamper.receive(
+            self.shard as u32,
+            FrameStamp {
+                seq: f.seq,
+                lamport: f.lamport,
+            },
+        );
+        let len = frame.len() as u32;
+        self.obs.emit(|| Event::FrameReceived {
+            bytes: len,
+            seq: rx.seq,
+            lamport: rx.lamport,
+        });
+        self.applied[src] = f.seq;
+        Ok(FrameApplied::Ack { seq: f.seq })
     }
 }
 
-/// The seeded random initial profile every execution mode starts from: one
-/// uniform route per user, drawn in user-id order — matching the
-/// single-engine dynamics' initialisation.
-pub(crate) fn initial_profile(game: &Game, seed: u64) -> Vec<RouteId> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    game.users()
-        .iter()
-        .map(|u| RouteId::from_index(rng.random_range(0..u.routes.len())))
-        .collect()
+/// What carries the coordinator's requests to the shard lanes: the
+/// in-process lanes of [`ShardedSim`], or the worker processes of a socket
+/// deployment.
+pub(crate) trait Link {
+    /// Why a request could not be carried out.
+    type Error;
+
+    /// Runs round `round`'s interior phase on every shard and appends the
+    /// committed moves (global ids) to `log`, merged in shard order.
+    /// Returns how many moves were committed.
+    fn interior(
+        &mut self,
+        round: u32,
+        log: &mut Vec<(UserId, RouteId)>,
+    ) -> Result<u64, Self::Error>;
+
+    /// Whether every shard's last interior phase reached its local
+    /// fixpoint.
+    fn interior_converged(&self) -> bool;
+
+    /// The best-route set of boundary user `user` at its home shard.
+    fn best_routes(&mut self, home: usize, user: UserId) -> Result<Vec<RouteId>, Self::Error>;
+
+    /// Commits `user → route` at `home` and applies the resulting boundary
+    /// frame at every other shard. Returns the frame's length in bytes.
+    fn commit(&mut self, home: usize, user: UserId, route: RouteId) -> Result<usize, Self::Error>;
+
+    /// Closes round `round` once its fixpoint test has run.
+    fn end_round(&mut self, _round: u32, _converged: bool) -> Result<(), Self::Error> {
+        Ok(())
+    }
 }
 
-/// Shard `s`'s lane RNG seed, derived from the config seed: a deployment is
-/// a pure function of `(game, config)` regardless of transport.
-pub(crate) fn lane_seed(seed: u64, s: usize) -> u64 {
-    seed.wrapping_add(0x9E37_79B9_7F4A_7C15u64.wrapping_mul(s as u64 + 1))
+/// Where the coordinator is in a run: its boundary tie-break RNG and the
+/// round and move counters. Checkpointed as a whole.
+#[derive(Debug, Clone)]
+pub(crate) struct Progress {
+    boundary_rng: StdRng,
+    pub(crate) rounds: u32,
+    pub(crate) converged: bool,
+    pub(crate) interior_moves: u64,
+    pub(crate) boundary_moves: u64,
+    pub(crate) frames_sent: u64,
+    pub(crate) frame_bytes: u64,
+}
+
+/// The coordinator round, written once for every [`Link`].
+pub(crate) struct Rounds {
+    pub(crate) plan: ShardPlan,
+    /// The merged global commit log.
+    pub(crate) log: Vec<(UserId, RouteId)>,
+    pub(crate) progress: Progress,
+}
+
+impl Rounds {
+    pub(crate) fn new(plan: ShardPlan, seed: u64) -> Self {
+        Rounds {
+            plan,
+            log: Vec::new(),
+            progress: Progress {
+                boundary_rng: StdRng::seed_from_u64(seed ^ 0xB0D7_F1E1),
+                rounds: 0,
+                converged: false,
+                interior_moves: 0,
+                boundary_moves: 0,
+                frames_sent: 0,
+                frame_bytes: 0,
+            },
+        }
+    }
+
+    /// One coordinator round: every shard's interior phase, then the
+    /// boundary walk — each boundary user, in ascending global id,
+    /// best-responds at home and, when improving, commits the route picked
+    /// by the round's single tie-break draw — then the fixpoint test.
+    pub(crate) fn step<L: Link>(&mut self, link: &mut L) -> Result<RoundReport, L::Error> {
+        let Rounds {
+            plan,
+            log,
+            progress: at,
+        } = self;
+        at.rounds += 1;
+        let interior = link.interior(at.rounds, log)?;
+        let replicas = plan.shards() as u64 - 1;
+        let mut boundary = 0u64;
+        for &g in plan.boundary_users() {
+            let routes = link.best_routes(plan.home_of(g), g)?;
+            if routes.is_empty() {
+                continue;
+            }
+            let route = routes[at.boundary_rng.random_range(0..routes.len())];
+            let len = link.commit(plan.home_of(g), g, route)?;
+            log.push((g, route));
+            boundary += 1;
+            at.frames_sent += 1;
+            at.frame_bytes += len as u64 * replicas;
+        }
+        at.interior_moves += interior;
+        at.boundary_moves += boundary;
+        at.converged = boundary == 0 && link.interior_converged();
+        link.end_round(at.rounds, at.converged)?;
+        Ok(RoundReport {
+            round: at.rounds,
+            interior_moves: interior,
+            boundary_moves: boundary,
+            converged: at.converged,
+        })
+    }
+
+    /// Steps rounds until the global fixpoint or `max_rounds`.
+    pub(crate) fn run<L: Link>(&mut self, link: &mut L, max_rounds: u32) -> Result<(), L::Error> {
+        while !self.progress.converged && self.progress.rounds < max_rounds {
+            self.step(link)?;
+        }
+        Ok(())
+    }
+}
+
+/// The in-process link: [`ShardedSim`]'s lanes, interior phases either
+/// sequential or one OS thread per shard.
+struct InProcess<'a> {
+    lanes: &'a mut [ShardLane],
+    cap: u64,
+    parallel: bool,
+}
+
+impl Link for InProcess<'_> {
+    type Error = Infallible;
+
+    fn interior(&mut self, _: u32, log: &mut Vec<(UserId, RouteId)>) -> Result<u64, Infallible> {
+        let cap = self.cap;
+        if !self.parallel {
+            return Ok(self
+                .lanes
+                .iter_mut()
+                .map(|lane| lane.converge_interior(cap, log))
+                .sum());
+        }
+        // Lanes share no mutable state in phase 1; logs merge in shard
+        // order, so this is bit-identical to the sequential phase.
+        let mut bufs: Vec<Vec<(UserId, RouteId)>> = self.lanes.iter().map(|_| Vec::new()).collect();
+        let moved = std::thread::scope(|scope| {
+            let threads: Vec<_> = self
+                .lanes
+                .iter_mut()
+                .zip(bufs.iter_mut())
+                .map(|(lane, buf)| scope.spawn(move || lane.converge_interior(cap, buf)))
+                .collect();
+            threads
+                .into_iter()
+                .map(|t| t.join().expect("interior phase thread"))
+                .sum()
+        });
+        log.extend(bufs.into_iter().flatten());
+        Ok(moved)
+    }
+
+    fn interior_converged(&self) -> bool {
+        self.lanes.iter().all(|l| l.converged)
+    }
+
+    fn best_routes(&mut self, home: usize, user: UserId) -> Result<Vec<RouteId>, Infallible> {
+        Ok(self.lanes[home].best_routes(user))
+    }
+
+    fn commit(&mut self, home: usize, user: UserId, route: RouteId) -> Result<usize, Infallible> {
+        let wire = self.lanes[home].commit(user, route);
+        for (t, lane) in self.lanes.iter_mut().enumerate() {
+            if t != home {
+                let applied = lane.apply_frame(&wire).expect("in-process frames decode");
+                assert!(
+                    matches!(applied, FrameApplied::Ack { .. }),
+                    "in-process frames arrive in order"
+                );
+            }
+        }
+        Ok(wire.len())
+    }
 }
 
 /// Per-round progress report from [`ShardedSim::step_round`].
@@ -185,23 +690,17 @@ pub struct ShardedOutcome {
     pub boundary_fraction: f64,
 }
 
-/// A shard-scoped checkpoint: one engine [`Snapshot`] per shard plus the
-/// coordinator state (RNGs, causal stamper, counters) needed to resume the
-/// run on its exact trajectory. Taken at coordinator-round boundaries.
+/// A shard-scoped checkpoint: one engine [`Snapshot`] per shard, each
+/// lane's RNG, slot counter, stamp endpoint and applied-frame table, and
+/// the coordinator's tie-break RNG and counters — everything needed to
+/// resume the run on its exact trajectory. Taken at coordinator-round
+/// boundaries.
 #[derive(Debug, Clone)]
 pub struct ShardCheckpoint {
     /// Encoded per-shard engine snapshots, shard order.
     pub shards: Vec<Bytes>,
-    rngs: Vec<StdRng>,
-    boundary_rng: StdRng,
-    stamper: FrameStamper,
-    rounds: u32,
-    converged: bool,
-    slots: Vec<u64>,
-    interior_moves: u64,
-    boundary_moves: u64,
-    frames_sent: u64,
-    frame_bytes: u64,
+    lanes: Vec<LaneState>,
+    progress: Progress,
 }
 
 /// The sharded multi-engine simulator. See the module docs for the
@@ -210,106 +709,10 @@ pub struct ShardCheckpoint {
 /// with [`ShardedSim::step_round`].
 pub struct ShardedSim {
     game: Game,
-    plan: ShardPlan,
     config: ShardConfig,
     lanes: Vec<ShardLane>,
-    /// shard → local id → global id.
-    locals: Vec<Vec<UserId>>,
-    /// shard → global id → local id (`u32::MAX` when absent; boundary
-    /// users are present everywhere, interior users only at home).
-    local_of: Vec<Vec<u32>>,
-    boundary_rng: StdRng,
-    stamper: FrameStamper,
+    coord: Rounds,
     initial: Vec<RouteId>,
-    log: Vec<(UserId, RouteId)>,
-    move_buf: Vec<(UserId, RouteId)>,
-    rounds: u32,
-    converged: bool,
-    interior_moves: u64,
-    boundary_moves: u64,
-    frames_sent: u64,
-    frame_bytes: u64,
-}
-
-/// Runs one shard's interior phase to a local fixpoint (or `cap` slots),
-/// appending committed moves as *local* `(user, route)` pairs to `out`.
-/// Returns the number of moves committed by this call.
-pub(crate) fn converge_interior(
-    lane: &mut ShardLane,
-    cap: u64,
-    out: &mut Vec<(UserId, RouteId)>,
-) -> u64 {
-    let mut done = 0u64;
-    loop {
-        // Refresh responses for users dirtied since the last slot and keep
-        // the sorted improving set in sync (incremental edits, falling back
-        // to a rebuild when the batch of changes is large).
-        lane.engine.take_dirty_into(&mut lane.drained);
-        for &u in &lane.drained {
-            let i = u.index();
-            if !lane.driven[i] {
-                continue;
-            }
-            lane.engine.best_route_set_into(u, &mut lane.responses[i]);
-            let now = !lane.responses[i].best_routes.is_empty();
-            if now != lane.improving_flag[i] {
-                lane.improving_flag[i] = now;
-                lane.edits.push((i as u32, now));
-            }
-        }
-        if lane.edits.len() > lane.improving.len() / 8 + 32 {
-            lane.improving.clear();
-            lane.improving.extend(
-                (0..lane.improving_flag.len())
-                    .filter(|&i| lane.improving_flag[i])
-                    .map(|i| i as u32),
-            );
-        } else {
-            for &(i, now) in &lane.edits {
-                match lane.improving.binary_search(&i) {
-                    Ok(at) if !now => {
-                        lane.improving.remove(at);
-                    }
-                    Err(at) if now => {
-                        lane.improving.insert(at, i);
-                    }
-                    _ => {}
-                }
-            }
-        }
-        lane.edits.clear();
-
-        if lane.improving.is_empty() {
-            lane.converged = true;
-            return done;
-        }
-        if done >= cap {
-            lane.converged = false;
-            return done;
-        }
-
-        // SUU grant: one uniform pick among improving users, then a uniform
-        // tie-break among that user's best-route set.
-        let local = lane.improving[lane.rng.random_range(0..lane.improving.len())];
-        let user = UserId::from_index(local as usize);
-        let resp = &lane.responses[local as usize];
-        let route = resp.best_routes[lane.rng.random_range(0..resp.best_routes.len())];
-        lane.engine.apply_move(user, route);
-        lane.slots += 1;
-        done += 1;
-        out.push((user, route));
-        let (slot, phi, total) = (
-            lane.slots,
-            lane.engine.potential(),
-            lane.engine.total_profit(),
-        );
-        lane.obs.emit(|| Event::SlotCompleted {
-            slot,
-            updated: 1,
-            phi,
-            total_profit: total,
-        });
-    }
 }
 
 impl ShardedSim {
@@ -333,64 +736,21 @@ impl ShardedSim {
             "initial profile must cover every user"
         );
         let plan = partition(&game, config.shards);
-        let mut sim = ShardedSim {
-            boundary_rng: StdRng::seed_from_u64(config.seed ^ 0xB0D7_F1E1),
-            stamper: FrameStamper::default(),
-            plan,
-            lanes: Vec::new(),
-            locals: Vec::new(),
-            local_of: Vec::new(),
-            log: Vec::new(),
-            move_buf: Vec::new(),
-            rounds: 0,
-            converged: false,
-            interior_moves: 0,
-            boundary_moves: 0,
-            frames_sent: 0,
-            frame_bytes: 0,
+        let lanes = (0..config.shards)
+            .map(|s| ShardLane::new(&game, &plan, s, &initial, config.seed))
+            .collect();
+        ShardedSim {
+            coord: Rounds::new(plan, config.seed),
+            lanes,
             initial,
             config,
             game,
-        };
-        for s in 0..sim.config.shards {
-            sim.build_lane(s);
         }
-        sim
-    }
-
-    /// Builds lane `s` from scratch, slicing the global initial profile
-    /// down to the lane's members.
-    fn build_lane(&mut self, s: usize) {
-        let members = self.plan.members(s);
-        let choices: Vec<RouteId> = members.iter().map(|&g| self.initial[g.index()]).collect();
-        let sub = self.game.subgame(&members);
-        let profile = Profile::new(&sub, choices);
-        let engine = Engine::new_owned(sub, profile);
-        self.push_lane(s, members, engine);
-    }
-
-    /// Registers an engine as lane `s`, deriving its RNG and driver caches.
-    fn push_lane(&mut self, s: usize, members: Vec<UserId>, engine: Engine<'static>) {
-        let m = members.len();
-        let n = self.game.users().len();
-        let mut driven = vec![false; m];
-        let mut local_of = vec![u32::MAX; n];
-        for (l, &g) in members.iter().enumerate() {
-            local_of[g.index()] = l as u32;
-            driven[l] = !self.plan.is_boundary(g);
-        }
-        self.lanes.push(ShardLane::build(
-            engine,
-            StdRng::seed_from_u64(lane_seed(self.config.seed, s)),
-            driven,
-        ));
-        self.locals.push(members);
-        self.local_of.push(local_of);
     }
 
     /// The partition the run executes under.
     pub fn plan(&self) -> &ShardPlan {
-        &self.plan
+        &self.coord.plan
     }
 
     /// The full game (global ids).
@@ -400,18 +760,18 @@ impl ShardedSim {
 
     /// Coordinator rounds executed so far.
     pub fn rounds(&self) -> u32 {
-        self.rounds
+        self.coord.progress.rounds
     }
 
     /// Whether the global fixpoint has been reached.
     pub fn is_converged(&self) -> bool {
-        self.converged
+        self.coord.progress.converged
     }
 
     /// The merged global commit log so far (or, after a resume, since the
     /// resume point).
     pub fn log(&self) -> &[(UserId, RouteId)] {
-        &self.log
+        &self.coord.log
     }
 
     /// The profile the run started from (after a resume: the merged profile
@@ -421,11 +781,10 @@ impl ShardedSim {
     }
 
     /// Attaches an observability handle to shard `s`: the lane's engine
-    /// emits `MoveCommitted` into it, the driver adds `SlotCompleted` and
-    /// the coordinator `FrameSent`/`FrameReceived` with causal stamps.
+    /// emits `MoveCommitted` into it, and the lane adds `SlotCompleted` and
+    /// its `FrameSent`/`FrameReceived` with causal stamps.
     pub fn set_shard_obs(&mut self, s: usize, obs: Obs) {
-        self.lanes[s].engine.set_obs(obs.clone());
-        self.lanes[s].obs = obs;
+        self.lanes[s].set_obs(obs);
     }
 
     /// Theorem-4 slot upper bounds, one per shard's sub-game — the budgets
@@ -449,11 +808,9 @@ impl ShardedSim {
         // Every user is a member of its home lane, so every entry is
         // overwritten below (the placeholder never survives).
         let mut out = vec![RouteId::from_index(0); self.game.users().len()];
-        for (s, lane) in self.lanes.iter().enumerate() {
-            for (l, &g) in self.locals[s].iter().enumerate() {
-                if self.plan.home_of(g) == s {
-                    out[g.index()] = lane.engine.profile().choice(UserId::from_index(l));
-                }
+        for lane in &self.lanes {
+            for (g, route) in lane.home_choices(&self.coord.plan) {
+                out[g.index()] = route;
             }
         }
         out
@@ -468,172 +825,43 @@ impl ShardedSim {
     /// Debug invariant: every boundary user's route agrees across all of
     /// its replicas.
     pub fn replicas_consistent(&self) -> bool {
-        self.plan.boundary_users().iter().all(|&g| {
-            let home = self.plan.home_of(g);
-            let at = |s: usize| {
-                let l = self.local_of[s][g.index()];
-                self.lanes[s]
-                    .engine
-                    .profile()
-                    .choice(UserId::from_index(l as usize))
-            };
-            (0..self.lanes.len()).all(|s| at(s) == at(home))
+        let plan = &self.coord.plan;
+        plan.boundary_users().iter().all(|&g| {
+            let home = self.lanes[plan.home_of(g)].choice(g);
+            self.lanes.iter().all(|lane| lane.choice(g) == home)
         })
     }
 
-    /// Runs one shard's interior phase and merges its moves (as global ids)
-    /// into the global log. Returns the move count.
-    fn converge_lane(&mut self, s: usize) -> u64 {
-        let cap = self.config.interior_slot_cap;
-        let mut buf = std::mem::take(&mut self.move_buf);
-        let n = converge_interior(&mut self.lanes[s], cap, &mut buf);
-        let locals = &self.locals[s];
-        self.log
-            .extend(buf.drain(..).map(|(lu, r)| (locals[lu.index()], r)));
-        self.move_buf = buf;
-        n
-    }
-
-    /// One coordinator boundary round: every boundary user best-responds in
-    /// its home shard; commits are broadcast to all replicas as stamped
-    /// [`BoundaryFrame`]s. Returns the number of moves committed.
-    fn boundary_round(&mut self) -> u64 {
-        let ShardedSim {
-            plan,
-            lanes,
-            local_of,
-            boundary_rng,
-            stamper,
-            log,
-            frames_sent,
-            frame_bytes,
-            ..
-        } = self;
-        let mut committed = 0u64;
-        for &g in plan.boundary_users() {
-            let home = plan.home_of(g);
-            let local = UserId::from_index(local_of[home][g.index()] as usize);
-            let resp = lanes[home].engine.best_route_set(local);
-            if resp.best_routes.is_empty() {
-                continue;
-            }
-            let route = resp.best_routes[boundary_rng.random_range(0..resp.best_routes.len())];
-
-            // Commit at home: the one MoveCommitted event for this move.
-            let home_lane = &mut lanes[home];
-            let from = home_lane.engine.apply_move(local, route);
-            home_lane.slots += 1;
-            let (slot, phi, total) = (
-                home_lane.slots,
-                home_lane.engine.potential(),
-                home_lane.engine.total_profit(),
-            );
-            home_lane.obs.emit(|| Event::SlotCompleted {
-                slot,
-                updated: 1,
-                phi,
-                total_profit: total,
-            });
-            log.push((g, route));
-            committed += 1;
-
-            // Broadcast as a causally stamped frame; replicas decode from
-            // the wire bytes and apply silently.
-            let stamp = stamper.send(home as u32);
-            let frame = BoundaryFrame {
-                shard: home as u32,
-                user: g.index() as u32,
-                from_route: from.index() as u32,
-                to_route: route.index() as u32,
-                seq: stamp.seq,
-                lamport: stamp.lamport,
-            };
-            let wire = frame.encode();
-            let len = wire.len() as u32;
-            lanes[home].obs.emit(|| Event::FrameSent {
-                bytes: len,
-                seq: stamp.seq,
-                lamport: stamp.lamport,
-            });
-            *frames_sent += 1;
-            for (t, lane) in lanes.iter_mut().enumerate() {
-                if t == home {
-                    continue;
-                }
-                let decoded = BoundaryFrame::decode(&wire).expect("coordinator frames round-trip");
-                let lt = UserId::from_index(local_of[t][decoded.user as usize] as usize);
-                lane.engine
-                    .apply_remote_move(lt, RouteId::from_index(decoded.to_route as usize));
-                let rx = stamper.receive(t as u32, stamp);
-                lane.obs.emit(|| Event::FrameReceived {
-                    bytes: len,
-                    seq: rx.seq,
-                    lamport: rx.lamport,
-                });
-                *frame_bytes += len as u64;
-            }
-        }
-        committed
-    }
-
-    fn finish_round(&mut self, interior: u64) -> RoundReport {
-        let boundary = self.boundary_round();
-        self.interior_moves += interior;
-        self.boundary_moves += boundary;
-        self.converged = boundary == 0 && self.lanes.iter().all(|l| l.converged);
-        RoundReport {
-            round: self.rounds,
-            interior_moves: interior,
-            boundary_moves: boundary,
-            converged: self.converged,
-        }
+    fn step(&mut self, parallel: bool) -> RoundReport {
+        let mut link = InProcess {
+            lanes: &mut self.lanes,
+            cap: self.config.interior_slot_cap,
+            parallel,
+        };
+        let Ok(report) = self.coord.step(&mut link);
+        report
     }
 
     /// Executes one coordinator round (interior phases sequentially, then
     /// the boundary sync).
     pub fn step_round(&mut self) -> RoundReport {
-        self.rounds += 1;
-        let mut interior = 0u64;
-        for s in 0..self.lanes.len() {
-            interior += self.converge_lane(s);
-        }
-        self.finish_round(interior)
+        self.step(false)
     }
 
     /// Executes one coordinator round with the interior phases on one OS
     /// thread per shard. Bit-identical to [`ShardedSim::step_round`]: lanes
     /// share no mutable state in phase 1 and logs merge in shard order.
     pub fn step_round_parallel(&mut self) -> RoundReport {
-        self.rounds += 1;
-        let cap = self.config.interior_slot_cap;
-        let mut bufs: Vec<Vec<(UserId, RouteId)>> = self.lanes.iter().map(|_| Vec::new()).collect();
-        let mut moved = vec![0u64; self.lanes.len()];
-        std::thread::scope(|scope| {
-            for ((lane, buf), n) in self
-                .lanes
-                .iter_mut()
-                .zip(bufs.iter_mut())
-                .zip(moved.iter_mut())
-            {
-                scope.spawn(move || *n = converge_interior(lane, cap, buf));
-            }
-        });
-        for (s, mut buf) in bufs.into_iter().enumerate() {
-            let locals = &self.locals[s];
-            self.log
-                .extend(buf.drain(..).map(|(lu, r)| (locals[lu.index()], r)));
-        }
-        self.finish_round(moved.iter().sum())
+        self.step(true)
     }
 
     fn run_inner(&mut self, parallel: bool) -> ShardedOutcome {
-        while !self.converged && self.rounds < self.config.max_rounds {
-            if parallel {
-                self.step_round_parallel();
-            } else {
-                self.step_round();
-            }
-        }
+        let mut link = InProcess {
+            lanes: &mut self.lanes,
+            cap: self.config.interior_slot_cap,
+            parallel,
+        };
+        let Ok(()) = self.coord.run(&mut link, self.config.max_rounds);
         self.outcome()
     }
 
@@ -650,51 +878,41 @@ impl ShardedSim {
 
     /// The outcome at the current point of the run.
     pub fn outcome(&self) -> ShardedOutcome {
+        let at = &self.coord.progress;
         ShardedOutcome {
             choices: self.merged_choices(),
             initial: self.initial.clone(),
-            log: self.log.clone(),
-            rounds: self.rounds,
-            converged: self.converged,
-            interior_moves: self.interior_moves,
-            boundary_moves: self.boundary_moves,
+            log: self.coord.log.clone(),
+            rounds: at.rounds,
+            converged: at.converged,
+            interior_moves: at.interior_moves,
+            boundary_moves: at.boundary_moves,
             shard_slots: self.shard_slots(),
-            frames_sent: self.frames_sent,
-            frame_bytes: self.frame_bytes,
-            boundary_fraction: self.plan.boundary_fraction(),
+            frames_sent: at.frames_sent,
+            frame_bytes: at.frame_bytes,
+            boundary_fraction: self.coord.plan.boundary_fraction(),
         }
     }
 
     /// Captures a shard-scoped checkpoint. Valid at coordinator-round
-    /// boundaries (between [`ShardedSim::step_round`] calls): each shard's
-    /// engine is snapshotted independently and the coordinator state (RNG
-    /// streams, causal stamper, counters) rides along, so
-    /// [`ShardedSim::resume`] retraces the exact remaining trajectory.
+    /// boundaries (between [`ShardedSim::step_round`] calls): each lane is
+    /// checkpointed independently and the coordinator state (tie-break
+    /// RNG, counters) rides along, so [`ShardedSim::resume`] retraces the
+    /// exact remaining trajectory.
     pub fn checkpoint(&self) -> ShardCheckpoint {
+        let (shards, lanes) = self.lanes.iter().map(ShardLane::checkpoint).unzip();
         ShardCheckpoint {
-            shards: self
-                .lanes
-                .iter()
-                .map(|l| Snapshot::capture(&l.engine).encode())
-                .collect(),
-            rngs: self.lanes.iter().map(|l| l.rng.clone()).collect(),
-            boundary_rng: self.boundary_rng.clone(),
-            stamper: self.stamper.clone(),
-            rounds: self.rounds,
-            converged: self.converged,
-            slots: self.lanes.iter().map(|l| l.slots).collect(),
-            interior_moves: self.interior_moves,
-            boundary_moves: self.boundary_moves,
-            frames_sent: self.frames_sent,
-            frame_bytes: self.frame_bytes,
+            shards,
+            lanes,
+            progress: self.coord.progress.clone(),
         }
     }
 
     /// Rebuilds a run from a checkpoint over the same `game` and an
     /// equivalent `config`. The partition is recomputed (it is a pure
-    /// function of game and shard count); each lane's engine is restored
-    /// from its snapshot; RNGs and the stamper resume their exact streams.
-    /// The continuation's [`ShardedSim::log`] starts empty and
+    /// function of game and shard count); each lane is restored from its
+    /// snapshot and state, so RNGs and stamp endpoints resume their exact
+    /// streams. The continuation's [`ShardedSim::log`] starts empty and
     /// [`ShardedSim::initial_choices`] is the merged profile at the resume
     /// point.
     pub fn resume(
@@ -708,44 +926,26 @@ impl ShardedSim {
             "checkpoint shard count must match the config"
         );
         let plan = partition(&game, config.shards);
+        let lanes = checkpoint
+            .shards
+            .into_iter()
+            .zip(checkpoint.lanes)
+            .enumerate()
+            .map(|(s, (snapshot, state))| ShardLane::restore(&game, &plan, s, snapshot, state))
+            .collect::<Result<_, _>>()?;
         let mut sim = ShardedSim {
-            boundary_rng: checkpoint.boundary_rng,
-            stamper: checkpoint.stamper,
-            plan,
-            lanes: Vec::new(),
-            locals: Vec::new(),
-            local_of: Vec::new(),
-            log: Vec::new(),
-            move_buf: Vec::new(),
-            rounds: checkpoint.rounds,
-            // A checkpoint taken exactly at the fixpoint stays converged;
-            // otherwise the resumed run re-enters the round loop.
-            converged: checkpoint.converged,
-            interior_moves: checkpoint.interior_moves,
-            boundary_moves: checkpoint.boundary_moves,
-            frames_sent: checkpoint.frames_sent,
-            frame_bytes: checkpoint.frame_bytes,
+            coord: Rounds {
+                plan,
+                log: Vec::new(),
+                // A checkpoint taken exactly at the fixpoint stays
+                // converged; otherwise the resumed run re-enters the loop.
+                progress: checkpoint.progress,
+            },
+            lanes,
             initial: Vec::new(),
             config,
             game,
         };
-        for (s, bytes) in checkpoint.shards.into_iter().enumerate() {
-            let snapshot = Snapshot::decode(bytes)?;
-            let members = sim.plan.members(s);
-            assert_eq!(
-                snapshot.game.users().len(),
-                members.len(),
-                "shard {s} snapshot user count must match the recomputed plan"
-            );
-            let engine = snapshot.restore();
-            sim.push_lane(s, members, engine);
-        }
-        for (lane, rng) in sim.lanes.iter_mut().zip(checkpoint.rngs) {
-            lane.rng = rng;
-        }
-        for (lane, slots) in sim.lanes.iter_mut().zip(checkpoint.slots) {
-            lane.slots = slots;
-        }
         sim.initial = sim.merged_choices();
         Ok(sim)
     }

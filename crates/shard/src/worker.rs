@@ -1,21 +1,22 @@
 //! The shard worker: the per-shard OS process of a socket-mode deployment.
 //!
-//! A worker owns exactly what one [`crate::sim::ShardLane`] owns in the
-//! in-process coordinator — the shard's engine over its member sub-game,
-//! its lane RNG, its slot counter, and its causal-stamp endpoint — and
-//! executes the coordinator's control messages lock-step. Because the lane
-//! code, the RNG streams, and the event-emission order are shared with
-//! [`crate::ShardedSim`] verbatim, a socket deployment's per-shard JSONL
-//! dumps are *byte-identical* to the channel-mode run of the same
-//! `(game, config)` (the transport-oracle suite asserts this).
+//! A worker owns one [`crate::sim::ShardLane`] — the same lane type the
+//! in-process coordinator ([`crate::ShardedSim`]) runs, with its engine over
+//! the member sub-game, lane RNG, slot counter, causal-stamp endpoint and
+//! applied-frame table — and executes the coordinator's control messages
+//! lock-step by calling the lane's operations. Because the lane code, the
+//! RNG streams, and the event-emission order are shared with channel mode,
+//! a socket deployment's per-shard JSONL dumps are *byte-identical* to the
+//! channel-mode run of the same `(game, config)` (the transport-oracle
+//! suite asserts this).
 //!
 //! ## Crash recovery
 //!
 //! At every `Checkpoint` message the worker atomically persists a
-//! [`WorkerCheckpoint`]: engine snapshot, RNG state, stamper endpoint,
-//! slot counter, the applied-frame table, and the flushed length of its
-//! JSONL dump. A restarted worker (same arguments) restores all of it,
-//! truncates the dump back to the checkpointed offset with
+//! [`WorkerCheckpoint`]: the lane's checkpoint (engine snapshot, RNG state,
+//! stamper endpoint, slot counter, applied-frame table) and the flushed
+//! length of its JSONL dump. A restarted worker (same arguments) restores
+//! all of it, truncates the dump back to the checkpointed offset with
 //! [`JsonlSubscriber::resume_at`], and reports the covered round in its
 //! `Hello` — the coordinator then replays the rounds the dead incarnation
 //! had seen, and the rewritten tail of the dump comes out identical.
@@ -25,8 +26,8 @@
 //!
 //! ## Idempotent frame application
 //!
-//! Boundary frames apply exactly once, keyed on `(sender shard, seq)`: a
-//! frame at or below the applied high-water mark is acknowledged but not
+//! Boundary frames apply exactly once, keyed on `(sender shard, seq)` (see
+//! `ShardLane::apply_frame`): a duplicate is acknowledged but not
 //! re-applied, and a frame that would skip ahead triggers a
 //! [`CtrlMsg::FrameGap`] naming the first missing sequence number, which
 //! drives coordinator-side retransmission of the gap.
@@ -46,25 +47,21 @@
 
 use crate::arq::FaultConfig;
 use crate::deploy::DeployConfig;
-use crate::frame::BoundaryFrame;
 use crate::net::{CoordLink, CtrlMsg, TransportKind, CHUNK_PAIRS};
-use crate::partition::partition;
-use crate::sim::{converge_interior, initial_profile, lane_seed, ShardLane};
+use crate::partition::{partition, ShardPlan};
+use crate::sim::{initial_profile, FrameApplied, LaneState, ShardLane};
+use bytes::Bytes;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 use vcs_core::bounds::slot_upper_bound;
 use vcs_core::ids::{RouteId, UserId};
-use vcs_core::{Engine, Profile};
-use vcs_obs::span::SpanKind;
 use vcs_obs::{
-    Event, FanoutSubscriber, FlightRecorder, FrameStamp, FrameStamper, JsonlSubscriber, NetStats,
-    Obs, StatsSubscriber, Subscriber, TelemetryFrame, WatchdogConfig, WatchdogSubscriber,
+    FanoutSubscriber, FlightRecorder, JsonlSubscriber, NetStats, Obs, StatsSubscriber, Subscriber,
+    TelemetryFrame, WatchdogConfig, WatchdogSubscriber,
 };
-use vcs_online::Snapshot;
 
 /// Everything a worker process needs to reconstruct its shard of the
 /// deployment deterministically: the full game parameters (the game is
@@ -93,35 +90,31 @@ pub(crate) struct WorkerCheckpoint {
     pub(crate) shard: u32,
     /// Last fully completed coordinator round this state covers.
     pub(crate) round: u32,
-    pub(crate) slots: u64,
-    pub(crate) rng: [u64; 4],
-    pub(crate) stamper_seq: u64,
-    pub(crate) stamper_clock: u64,
     /// Flushed JSONL dump length at checkpoint time — the resume
     /// truncation point.
     pub(crate) jsonl_off: u64,
-    /// Per-sender-shard applied-frame high-water marks.
-    pub(crate) applied: Vec<u64>,
-    /// Encoded engine [`Snapshot`].
+    pub(crate) lane: LaneState,
+    /// Encoded engine [`vcs_online::Snapshot`].
     pub(crate) snapshot: Vec<u8>,
 }
 
 impl WorkerCheckpoint {
     pub(crate) fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.applied.len() * 8 + self.snapshot.len());
+        let lane = &self.lane;
+        let mut out = Vec::with_capacity(64 + lane.applied.len() * 8 + self.snapshot.len());
         out.extend_from_slice(&CKPT_MAGIC);
         out.extend_from_slice(&CKPT_VERSION.to_be_bytes());
         out.extend_from_slice(&self.shard.to_be_bytes());
         out.extend_from_slice(&self.round.to_be_bytes());
-        out.extend_from_slice(&self.slots.to_be_bytes());
-        for word in self.rng {
+        out.extend_from_slice(&lane.slots.to_be_bytes());
+        for word in lane.rng.state() {
             out.extend_from_slice(&word.to_be_bytes());
         }
-        out.extend_from_slice(&self.stamper_seq.to_be_bytes());
-        out.extend_from_slice(&self.stamper_clock.to_be_bytes());
+        out.extend_from_slice(&lane.stamp.0.to_be_bytes());
+        out.extend_from_slice(&lane.stamp.1.to_be_bytes());
         out.extend_from_slice(&self.jsonl_off.to_be_bytes());
-        out.extend_from_slice(&(self.applied.len() as u32).to_be_bytes());
-        for &hi in &self.applied {
+        out.extend_from_slice(&(lane.applied.len() as u32).to_be_bytes());
+        for &hi in &lane.applied {
             out.extend_from_slice(&hi.to_be_bytes());
         }
         out.extend_from_slice(&(self.snapshot.len() as u64).to_be_bytes());
@@ -133,16 +126,13 @@ impl WorkerCheckpoint {
         fn bad(msg: &str) -> io::Error {
             io::Error::new(io::ErrorKind::InvalidData, format!("checkpoint: {msg}"))
         }
-        let mut at = 0usize;
         fn take<'b>(buf: &'b [u8], at: &mut usize, n: usize) -> io::Result<&'b [u8]> {
-            fn bad(msg: &str) -> io::Error {
-                io::Error::new(io::ErrorKind::InvalidData, format!("checkpoint: {msg}"))
-            }
             let end = at.checked_add(n).ok_or_else(|| bad("overflow"))?;
             let bytes = buf.get(*at..end).ok_or_else(|| bad("truncated"))?;
             *at = end;
             Ok(bytes)
         }
+        let mut at = 0usize;
         if take(buf, &mut at, 4)? != CKPT_MAGIC {
             return Err(bad("bad magic"));
         }
@@ -182,12 +172,13 @@ impl WorkerCheckpoint {
         Ok(WorkerCheckpoint {
             shard,
             round,
-            slots,
-            rng,
-            stamper_seq,
-            stamper_clock,
             jsonl_off,
-            applied,
+            lane: LaneState {
+                rng: StdRng::from_state(rng),
+                slots,
+                stamp: (stamper_seq, stamper_clock),
+                applied,
+            },
             snapshot,
         })
     }
@@ -206,15 +197,8 @@ impl WorkerCheckpoint {
 /// is unit-testable without sockets.
 pub(crate) struct Worker {
     shard: usize,
-    /// Local id ↔ global id maps for this shard's members.
-    members: Vec<UserId>,
-    local_of: Vec<u32>,
-    /// Global id → home shard (only consulted for `Finish` reporting).
-    home_of: Vec<u32>,
-    pub(crate) lane: ShardLane,
-    pub(crate) stamper: FrameStamper,
-    /// Per-sender-shard applied-frame high-water marks.
-    pub(crate) applied: Vec<u64>,
+    plan: ShardPlan,
+    lane: ShardLane,
     jsonl: Arc<JsonlSubscriber>,
     dog: Arc<WatchdogSubscriber>,
     /// This process's aggregate counters/histograms — the source of its
@@ -228,9 +212,6 @@ pub(crate) struct Worker {
     telemetry: bool,
     /// Per-process telemetry frame counter.
     telemetry_seq: u64,
-    /// Span sink for the worker's own phases: stats + recorder only, so
-    /// `SpanRecorded` events never perturb the deterministic JSONL dump.
-    span_obs: Obs,
     ckpt_path: PathBuf,
     interior_cap: u64,
     buf: Vec<(UserId, RouteId)>,
@@ -245,18 +226,6 @@ impl Worker {
         let s = cfg.shard;
         let game = d.game();
         let plan = partition(&game, d.shards);
-        let members = plan.members(s);
-        let n = game.users().len();
-        let mut local_of = vec![u32::MAX; n];
-        let mut driven = vec![false; members.len()];
-        for (l, &g) in members.iter().enumerate() {
-            local_of[g.index()] = l as u32;
-            driven[l] = !plan.is_boundary(g);
-        }
-        let home_of: Vec<u32> = (0..n)
-            .map(|u| plan.home_of(UserId::from_index(u)) as u32)
-            .collect();
-
         let ckpt_path = d.out_dir.join(format!("ckpt-{s}.bin"));
         let dump_path = d.out_dir.join(format!("shard-{s}.jsonl"));
         let restored = match std::fs::read(&ckpt_path) {
@@ -265,35 +234,23 @@ impl Worker {
             Err(e) => return Err(e),
         };
 
-        let mut stamper = FrameStamper::default();
-        let mut applied = vec![0u64; d.shards];
         let (jsonl, mut lane, ckpt_round) = match restored {
             Some(ck) => {
-                if ck.shard != s as u32 || ck.applied.len() != d.shards {
+                if ck.shard != s as u32 || ck.lane.applied.len() != d.shards {
                     return Err(io::Error::new(
                         io::ErrorKind::InvalidData,
                         "checkpoint does not match this deployment",
                     ));
                 }
                 let jsonl = Arc::new(JsonlSubscriber::resume_at(&dump_path, ck.jsonl_off)?);
-                let snapshot = Snapshot::decode(bytes::Bytes::from(ck.snapshot))
+                let snapshot = Bytes::from(ck.snapshot);
+                let lane = ShardLane::restore(&game, &plan, s, snapshot, ck.lane)
                     .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("{e:?}")))?;
-                let mut lane =
-                    ShardLane::build(snapshot.restore(), StdRng::from_state(ck.rng), driven);
-                lane.slots = ck.slots;
-                stamper.restore_endpoint(s as u32, ck.stamper_seq, ck.stamper_clock);
-                applied = ck.applied;
                 (jsonl, lane, ck.round)
             }
             None => {
                 let jsonl = Arc::new(JsonlSubscriber::create(&dump_path)?);
-                let initial = initial_profile(&game, d.seed);
-                let choices: Vec<RouteId> = members.iter().map(|&g| initial[g.index()]).collect();
-                let sub = game.subgame(&members);
-                let profile = Profile::new(&sub, choices);
-                let engine = Engine::new_owned(sub, profile);
-                let lane =
-                    ShardLane::build(engine, StdRng::seed_from_u64(lane_seed(d.seed, s)), driven);
+                let lane = ShardLane::new(&game, &plan, s, &initial_profile(&game, d.seed), d.seed);
                 (jsonl, lane, 0)
             }
         };
@@ -308,13 +265,13 @@ impl Worker {
         let recorder_path = d.out_dir.join(format!("recorder-{s}.jsonl"));
         let sinks: Vec<Arc<dyn Subscriber>> =
             vec![jsonl.clone(), dog.clone(), stats.clone(), recorder.clone()];
-        let obs = FanoutSubscriber::obs(sinks);
         // NOTE: set_obs emits EngineInit — on a fresh start this matches
         // channel mode exactly; after a restart it adds one (harmlessly
         // unstamped) extra EngineInit at the resume point.
-        lane.engine.set_obs(obs.clone());
-        lane.obs = obs;
-        let span_obs = FanoutSubscriber::obs(vec![
+        lane.set_obs(FanoutSubscriber::obs(sinks));
+        // The worker's own phase spans go to stats + recorder only, so
+        // `SpanRecorded` events never perturb the deterministic JSONL dump.
+        lane.span_obs = FanoutSubscriber::obs(vec![
             stats.clone() as Arc<dyn Subscriber>,
             recorder.clone() as Arc<dyn Subscriber>,
         ]);
@@ -322,12 +279,8 @@ impl Worker {
         Ok((
             Worker {
                 shard: s,
-                members,
-                local_of,
-                home_of,
+                plan,
                 lane,
-                stamper,
-                applied,
                 jsonl,
                 dog,
                 stats,
@@ -335,7 +288,6 @@ impl Worker {
                 recorder_path,
                 telemetry: d.telemetry,
                 telemetry_seq: 0,
-                span_obs,
                 ckpt_path,
                 interior_cap: d.interior_cap,
                 buf: Vec::new(),
@@ -364,28 +316,18 @@ impl Worker {
         )
     }
 
-    fn local(&self, user: u32) -> UserId {
-        let l = self.local_of[user as usize];
-        assert_ne!(l, u32::MAX, "user {user} is not a member of this shard");
-        UserId::from_index(l as usize)
-    }
-
     /// Executes one control message, returning the replies to send (in
     /// order) and whether the run is over.
     pub(crate) fn handle(&mut self, msg: CtrlMsg) -> io::Result<(Vec<CtrlMsg>, bool)> {
         let mut out = Vec::new();
+        let user_id = |user: u32| UserId::from_index(user as usize);
+        let pair = |(g, r): (UserId, RouteId)| (g.index() as u32, r.index() as u32);
         match msg {
             CtrlMsg::RunInterior { round } => {
                 self.buf.clear();
-                let mut buf = std::mem::take(&mut self.buf);
-                let timer = self.span_obs.span(SpanKind::InteriorConverge);
-                converge_interior(&mut self.lane, self.interior_cap, &mut buf);
-                timer.finish();
-                let moves: Vec<(u32, u32)> = buf
-                    .iter()
-                    .map(|&(lu, r)| (self.members[lu.index()].index() as u32, r.index() as u32))
-                    .collect();
-                self.buf = buf;
+                self.lane
+                    .converge_interior(self.interior_cap, &mut self.buf);
+                let moves: Vec<(u32, u32)> = self.buf.iter().copied().map(pair).collect();
                 for chunk in moves.chunks(CHUNK_PAIRS) {
                     out.push(CtrlMsg::InteriorPart {
                         moves: chunk.to_vec(),
@@ -399,54 +341,21 @@ impl Worker {
                 });
             }
             CtrlMsg::BestRespond { user } => {
-                let resp = self.lane.engine.best_route_set(self.local(user));
+                let routes = self.lane.best_routes(user_id(user));
                 out.push(CtrlMsg::Routes {
                     user,
-                    routes: resp.best_routes.iter().map(|r| r.index() as u32).collect(),
+                    routes: routes.iter().map(|r| r.index() as u32).collect(),
                 });
             }
             CtrlMsg::Commit { user, route } => {
-                // The home-commit event order mirrors the channel-mode
-                // coordinator exactly: MoveCommitted (engine), then
-                // SlotCompleted, then the stamped FrameSent.
-                let local = self.local(user);
-                let to = RouteId::from_index(route as usize);
-                let from = self.lane.engine.apply_move(local, to);
-                self.lane.slots += 1;
-                let (slot, phi, total) = (
-                    self.lane.slots,
-                    self.lane.engine.potential(),
-                    self.lane.engine.total_profit(),
-                );
-                self.lane.obs.emit(|| Event::SlotCompleted {
-                    slot,
-                    updated: 1,
-                    phi,
-                    total_profit: total,
-                });
-                let stamp = self.stamper.send(self.shard as u32);
-                let frame = BoundaryFrame {
-                    shard: self.shard as u32,
-                    user,
-                    from_route: from.index() as u32,
-                    to_route: route,
-                    seq: stamp.seq,
-                    lamport: stamp.lamport,
-                };
-                let wire = self
-                    .span_obs
-                    .time(SpanKind::BoundarySerialize, || frame.encode());
-                let len = wire.len() as u32;
-                self.lane.obs.emit(|| Event::FrameSent {
-                    bytes: len,
-                    seq: stamp.seq,
-                    lamport: stamp.lamport,
-                });
-                out.push(CtrlMsg::Committed {
-                    frame: wire.to_vec(),
-                });
+                let route = RouteId::from_index(route as usize);
+                let frame = self.lane.commit(user_id(user), route).to_vec();
+                out.push(CtrlMsg::Committed { frame });
             }
-            CtrlMsg::Apply { frame } => out.push(self.apply_frame(&frame)?),
+            CtrlMsg::Apply { frame } => out.push(match self.lane.apply_frame(&frame)? {
+                FrameApplied::Ack { seq } => CtrlMsg::Applied { seq },
+                FrameApplied::Gap { shard, from_seq } => CtrlMsg::FrameGap { shard, from_seq },
+            }),
             CtrlMsg::Checkpoint { round } => {
                 self.write_checkpoint(round)?;
                 if self.telemetry {
@@ -460,16 +369,8 @@ impl Worker {
                 out.push(CtrlMsg::CheckpointDone { round });
             }
             CtrlMsg::Finish => {
-                let entries: Vec<(u32, u32)> = self
-                    .members
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &g)| self.home_of[g.index()] == self.shard as u32)
-                    .map(|(l, &g)| {
-                        let route = self.lane.engine.profile().choice(UserId::from_index(l));
-                        (g.index() as u32, route.index() as u32)
-                    })
-                    .collect();
+                let entries: Vec<(u32, u32)> =
+                    self.lane.home_choices(&self.plan).map(pair).collect();
                 for chunk in entries.chunks(CHUNK_PAIRS) {
                     out.push(CtrlMsg::DonePart {
                         entries: chunk.to_vec(),
@@ -493,68 +394,14 @@ impl Worker {
         Ok((out, false))
     }
 
-    /// Applies one boundary frame idempotently, keyed on
-    /// `(sender shard, seq)`. See the module docs.
-    pub(crate) fn apply_frame(&mut self, frame: &[u8]) -> io::Result<CtrlMsg> {
-        let f = BoundaryFrame::decode(frame)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("{e:?}")))?;
-        let src = f.shard as usize;
-        if src >= self.applied.len() || src == self.shard {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("frame from invalid shard {src}"),
-            ));
-        }
-        let hi = self.applied[src];
-        if f.seq <= hi {
-            // Duplicate: already applied — acknowledge without re-applying.
-            return Ok(CtrlMsg::Applied { seq: f.seq });
-        }
-        if f.seq > hi + 1 {
-            // Causal-stamp gap: frames (hi+1..f.seq) are missing; ask for
-            // retransmission instead of applying out of order.
-            return Ok(CtrlMsg::FrameGap {
-                shard: f.shard,
-                from_seq: hi + 1,
-            });
-        }
-        let local = self.local(f.user);
-        self.lane
-            .engine
-            .apply_remote_move(local, RouteId::from_index(f.to_route as usize));
-        let rx = self.stamper.receive(
-            self.shard as u32,
-            FrameStamp {
-                seq: f.seq,
-                lamport: f.lamport,
-            },
-        );
-        let len = frame.len() as u32;
-        self.lane.obs.emit(|| Event::FrameReceived {
-            bytes: len,
-            seq: rx.seq,
-            lamport: rx.lamport,
-        });
-        self.applied[src] = f.seq;
-        Ok(CtrlMsg::Applied { seq: f.seq })
-    }
-
     fn write_checkpoint(&mut self, round: u32) -> io::Result<()> {
-        let jsonl_off = self.jsonl.flushed_len()?;
-        let (stamper_seq, stamper_clock) = self.stamper.endpoint_state(self.shard as u32);
+        let (snapshot, lane) = self.lane.checkpoint();
         let ck = WorkerCheckpoint {
             shard: self.shard as u32,
             round,
-            slots: self.lane.slots,
-            rng: self.lane.rng.state(),
-            stamper_seq,
-            stamper_clock,
-            jsonl_off,
-            applied: self.applied.clone(),
-            snapshot: Snapshot::capture(&self.lane.engine)
-                .encode()
-                .as_ref()
-                .to_vec(),
+            jsonl_off: self.jsonl.flushed_len()?,
+            lane,
+            snapshot: snapshot.as_ref().to_vec(),
         };
         ck.write_atomic(&self.ckpt_path)
     }
@@ -638,12 +485,13 @@ mod tests {
         let ck = WorkerCheckpoint {
             shard: 2,
             round: 9,
-            slots: 1234,
-            rng: [1, 2, 3, 4],
-            stamper_seq: 17,
-            stamper_clock: 41,
             jsonl_off: 8899,
-            applied: vec![5, 0, 7],
+            lane: LaneState {
+                rng: StdRng::from_state([1, 2, 3, 4]),
+                slots: 1234,
+                stamp: (17, 41),
+                applied: vec![5, 0, 7],
+            },
             snapshot: vec![9u8; 100],
         };
         let bytes = ck.encode();

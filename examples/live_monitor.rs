@@ -13,7 +13,7 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use vcs::obs::validate_prometheus_text;
+use vcs::obs::{validate_prometheus_text, LiveMonitor};
 use vcs::online::{synthetic_stream, OnlineAlgorithm, OnlineSim, StreamConfig};
 
 /// Minimal HTTP/1.1 GET, the same bytes `curl` would send.
@@ -44,7 +44,9 @@ fn main() {
     // 2. Bind the live endpoint on an ephemeral port. From here on, every
     //    warm-path event the sim emits lands in the endpoint's
     //    StatsSubscriber — `curl http://<addr>/metrics` works mid-run.
-    let addr = sim.attach_monitor("127.0.0.1:0").expect("bind monitor");
+    let monitor = LiveMonitor::bind("127.0.0.1:0").expect("bind monitor");
+    sim.set_obs(monitor.obs());
+    let addr = monitor.addr();
     println!("serving /metrics on http://{addr}");
 
     // 3. Run the churn stream to its warm equilibria.
