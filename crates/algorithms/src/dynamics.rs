@@ -1,30 +1,26 @@
 //! The distributed route-navigation dynamics (Alg. 1 + Alg. 2) and the four
 //! distributed baselines of §5.2.
 //!
-//! All five distributed variants share one synchronous driver: in each
-//! decision slot the platform collects update requests from users that can
-//! improve (Alg. 1 lines 10–12), a scheduler grants the opportunity to a
-//! subset (Alg. 2 line 8), the granted users switch, and the platform
-//! refreshes the participant counts (Alg. 2 line 10). The loop ends when no
-//! request arrives — a Nash equilibrium by construction.
+//! DGRN, MUUN, BRUN and BUAU share one synchronous driver: in each decision
+//! slot the platform collects update requests from users that can improve
+//! (Alg. 1 lines 10–12), a scheduler grants the opportunity to a subset
+//! (Alg. 2 line 8), the granted users switch, and the platform refreshes
+//! the participant counts (Alg. 2 line 10). The loop ends when no request
+//! arrives — a Nash equilibrium by construction. The refresh and the
+//! improving set come from [`ResponseCache`]. BATS has a loop of its own:
+//! its users take round-robin turns, so it needs only the cursor user's
+//! response, cached lazily per user.
 
 use crate::outcome::{RunOutcome, SlotTrace};
 use crate::request::UpdateRequest;
 use crate::scheduler::{buau, puu, puu_views, suu, RequestView};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use vcs_core::ids::{RouteId, TaskId, UserId};
 use vcs_core::response::{best_route_set, better_routes, BestResponse, ProfitView};
-use vcs_core::{potential, Engine, Game, Profile};
+use vcs_core::{potential, Engine, Game, Profile, ResponseCache};
 use vcs_obs::{elapsed_nanos, Event, Obs, ResponseKind, SpanKind};
-
-/// Below this many drained dirty users a refresh pass stays sequential: an
-/// incremental best-response scan is ~100ns, so fanning out to worker
-/// threads only pays off for the huge convergence-from-cold passes (first
-/// slot at 10⁵ users, epoch re-convergence after bulk churn).
-const PAR_REFRESH_MIN: usize = 4096;
 
 /// Per-user cache of PUU affected-task sets `B_i = L_{s_i} ∪ L_{s'}`, keyed
 /// by candidate route and implicitly by the user's current route.
@@ -168,9 +164,7 @@ pub fn run_distributed(
     algorithm: DistributedAlgorithm,
     config: &RunConfig,
 ) -> RunOutcome {
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let profile = random_initial_profile(game, &mut rng);
-    run_distributed_from(game, algorithm, config, profile, &mut rng)
+    run_distributed_observed(game, algorithm, config, &Obs::disabled())
 }
 
 /// [`run_distributed`] with an observability handle: the engine emits
@@ -180,60 +174,22 @@ pub fn run_distributed(
 /// per refresh pass — see `Event::RefreshPass`). With a disabled
 /// handle this *is* `run_distributed` (same RNG stream, same trajectory —
 /// observation never influences the dynamics).
+///
+/// Per slot the driver re-evaluates only the users whose best responses
+/// the previous slot's moves invalidated ([`ResponseCache::refresh`]) and
+/// records the slot trace from the engine's O(1) running
+/// potential/total-profit. The RNG draw sequence — one `pick` per improving
+/// user in user order, then one scheduler draw — is identical to
+/// [`run_distributed_naive`], so trajectories match the reference bit for
+/// bit (slot-trace floats within `1e-9`).
 pub fn run_distributed_observed(
     game: &Game,
     algorithm: DistributedAlgorithm,
     config: &RunConfig,
     obs: &Obs,
 ) -> RunOutcome {
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let profile = random_initial_profile(game, &mut rng);
-    run_distributed_from_observed(game, algorithm, config, profile, &mut rng, obs)
-}
-
-/// Reference (naive) counterpart of [`run_distributed`]: same seed, same
-/// trajectory, but every slot re-derives responses, `ϕ` and the total profit
-/// from scratch instead of using the incremental [`Engine`]. Kept for the
-/// equivalence tests and the old-vs-new benchmarks.
-pub fn run_distributed_naive(
-    game: &Game,
-    algorithm: DistributedAlgorithm,
-    config: &RunConfig,
-) -> RunOutcome {
-    let mut rng = StdRng::seed_from_u64(config.seed);
-    let profile = random_initial_profile(game, &mut rng);
-    run_distributed_from_naive(game, algorithm, config, profile, &mut rng)
-}
-
-/// Runs the dynamics from an explicit starting profile: the
-/// incremental-engine driver behind [`run_distributed`]. Per slot it
-/// re-evaluates only the users whose best responses the previous slot's
-/// moves invalidated ([`Engine::take_dirty`]) and records the slot trace
-/// from the engine's O(1) running potential/total-profit. The RNG draw
-/// sequence — one `pick` per improving user in user order, then one
-/// scheduler draw — is identical to [`run_distributed_from_naive`], so
-/// trajectories match the reference bit for bit (slot-trace floats within
-/// `1e-9`).
-fn run_distributed_from(
-    game: &Game,
-    algorithm: DistributedAlgorithm,
-    config: &RunConfig,
-    profile: Profile,
-    rng: &mut StdRng,
-) -> RunOutcome {
-    run_distributed_from_observed(game, algorithm, config, profile, rng, &Obs::disabled())
-}
-
-/// [`run_distributed_from`] with an observability handle (see
-/// [`run_distributed_observed`]).
-fn run_distributed_from_observed(
-    game: &Game,
-    algorithm: DistributedAlgorithm,
-    config: &RunConfig,
-    profile: Profile,
-    rng: &mut StdRng,
-    obs: &Obs,
-) -> RunOutcome {
+    let rng = &mut StdRng::seed_from_u64(config.seed);
+    let profile = random_initial_profile(game, rng);
     let m = game.user_count();
     let mut engine = Engine::new(game, profile);
     engine.set_obs(obs.clone());
@@ -316,23 +272,12 @@ fn run_distributed_from_observed(
             converged = quiet >= m;
         }
         _ => {
-            let brun = algorithm == DistributedAlgorithm::Brun;
-            // Cached responses, invalidated via the engine's dirty set. The
-            // placeholders are overwritten before first use: every user
-            // starts dirty.
-            let mut best_cache: Vec<BestResponse> = Vec::new();
-            let mut better_cache: Vec<Vec<(vcs_core::ids::RouteId, f64)>> = Vec::new();
-            if brun {
-                better_cache = vec![Vec::new(); m];
+            let kind = if algorithm == DistributedAlgorithm::Brun {
+                ResponseKind::Better
             } else {
-                best_cache = (0..m)
-                    .map(|_| BestResponse {
-                        best_routes: Vec::new(),
-                        gain: 0.0,
-                        best_profit: 0.0,
-                    })
-                    .collect();
-            }
+                ResponseKind::Best
+            };
+            let mut cache = ResponseCache::new(kind, vec![true; m]);
             // A would-be update request, before the full `UpdateRequest`
             // (with its allocated affected-task set) is materialized. SUU
             // only consumes the request *count* and BUAU only `τ = gain/α`,
@@ -347,21 +292,9 @@ fn run_distributed_from_observed(
             let mut picks: Vec<Pick> = Vec::new();
             let mut affected_cache =
                 (algorithm == DistributedAlgorithm::Muun).then(|| AffectedCache::new(game));
-            // The improving set, maintained as a flag array plus a sorted
-            // index list so the request-collection pass iterates only users
-            // that can actually improve instead of scanning all `m` caches
-            // every slot. Invariant: `improving_flag[i]` ⟺ user `i`'s cached
-            // response list is non-empty; since `pick` consumes RNG only for
-            // non-empty lists, iterating the improving users in ascending id
-            // order draws the exact same RNG stream as the full scan.
-            let mut improving_flag: Vec<bool> = vec![false; m];
-            let mut improving: Vec<u32> = Vec::new();
-            let mut changed: Vec<u32> = Vec::new();
             // MUUN's granted batch, rebuilt per slot and committed through
             // the engine's conflict-free batch path.
             let mut batch: Vec<(UserId, RouteId)> = Vec::new();
-            // Drain buffer recycled across slots (see `take_dirty_into`).
-            let mut drained: Vec<UserId> = Vec::new();
             while slots < config.max_slots {
                 // A pass that finds no request is termination, not a
                 // decision slot — nothing is emitted on that path. One clock
@@ -372,91 +305,16 @@ fn run_distributed_from_observed(
                 let slot_start = obs.enabled().then(std::time::Instant::now);
                 // Alg. 2 line 6: refresh invalidated responses, then collect
                 // requests from users able to improve. `pick` re-draws for
-                // every improving user each slot — cached or not — so the
-                // RNG stream matches the naive driver exactly. One span and
-                // one `RefreshPass` event cover the whole pass: a single
-                // incremental scan is ~100ns, far below the cost of timing
-                // or emitting per scan.
-                engine.take_dirty_into(&mut drained);
-                let scans = drained.len() as u32;
-                let mut improving_now = 0u32;
-                // Recompute the drained users' responses. Large passes (cold
-                // start, post-churn re-convergence) fan out over the rayon
-                // pool — the scans are read-only against the engine slabs
-                // and the results are collected in index order, so the
-                // assignment below is deterministic; small passes stay on
-                // the calling thread.
-                let parallel = drained.len() >= PAR_REFRESH_MIN && rayon::current_num_threads() > 1;
-                if brun {
-                    if parallel {
-                        let eng = &engine;
-                        let dr = &drained;
-                        let results: Vec<Vec<(RouteId, f64)>> = (0..dr.len())
-                            .into_par_iter()
-                            .map(|j| eng.better_routes(dr[j]))
-                            .collect();
-                        for (j, better) in results.into_iter().enumerate() {
-                            better_cache[drained[j].index()] = better;
-                        }
-                    } else {
-                        for &user in &drained {
-                            better_cache[user.index()] = engine.better_routes(user);
-                        }
-                    }
-                } else if parallel {
-                    let eng = &engine;
-                    let dr = &drained;
-                    let results: Vec<BestResponse> = (0..dr.len())
-                        .into_par_iter()
-                        .map(|j| eng.best_route_set(dr[j]))
-                        .collect();
-                    for (j, response) in results.into_iter().enumerate() {
-                        best_cache[drained[j].index()] = response;
-                    }
-                } else {
-                    for &user in &drained {
-                        engine.best_route_set_into(user, &mut best_cache[user.index()]);
-                    }
-                }
-                changed.clear();
-                for &user in &drained {
-                    let i = user.index();
-                    let now = if brun {
-                        !better_cache[i].is_empty()
-                    } else {
-                        !best_cache[i].best_routes.is_empty()
-                    };
-                    improving_now += u32::from(now);
-                    if now != improving_flag[i] {
-                        improving_flag[i] = now;
-                        changed.push(i as u32);
-                    }
-                    if let Some(cache) = &mut affected_cache {
-                        cache.invalidate(user);
-                    }
-                }
-                // Fold the flag flips into the sorted improving list:
-                // binary-search edits for a few changes, one linear rebuild
-                // when a pass flipped a large fraction (cold start).
-                if !changed.is_empty() {
-                    if changed.len() > improving.len() / 8 + 32 {
-                        improving.clear();
-                        improving.extend((0..m as u32).filter(|&i| improving_flag[i as usize]));
-                    } else {
-                        for &i in &changed {
-                            match improving.binary_search(&i) {
-                                Ok(pos) => {
-                                    if !improving_flag[i as usize] {
-                                        improving.remove(pos);
-                                    }
-                                }
-                                Err(pos) => {
-                                    if improving_flag[i as usize] {
-                                        improving.insert(pos, i);
-                                    }
-                                }
-                            }
-                        }
+                // every improving user each slot — cached or not — in id
+                // order, and consumes RNG only for non-empty lists, so the
+                // RNG stream matches the naive driver's full scan exactly.
+                // One span and one `RefreshPass` event cover the whole pass:
+                // a single incremental scan is ~100ns, far below the cost of
+                // timing or emitting per scan.
+                let (scans, improving) = cache.refresh(&mut engine);
+                if let Some(affected) = &mut affected_cache {
+                    for &user in cache.refreshed() {
+                        affected.invalidate(user);
                     }
                 }
                 if scans > 0 {
@@ -468,32 +326,25 @@ fn run_distributed_from_observed(
                         });
                     }
                     obs.emit(|| Event::RefreshPass {
-                        kind: if brun {
-                            ResponseKind::Better
-                        } else {
-                            ResponseKind::Best
-                        },
+                        kind,
                         scans,
-                        improving: improving_now,
+                        improving,
                     });
                 }
                 picks.clear();
-                for &iu in &improving {
+                for &iu in cache.improving() {
                     let user = UserId::from_index(iu as usize);
-                    if brun {
-                        let &(route, gain) = pick(&better_cache[iu as usize], rng)
-                            .expect("flagged improving ⇒ non-empty better list");
-                        picks.push(Pick { user, route, gain });
-                    } else {
-                        let response = &best_cache[iu as usize];
-                        let &route = pick(&response.best_routes, rng)
-                            .expect("flagged improving ⇒ non-empty best set");
-                        picks.push(Pick {
-                            user,
-                            route,
-                            gain: response.gain,
-                        });
-                    }
+                    let (route, gain) = match kind {
+                        ResponseKind::Better => *pick(cache.better(user), rng)
+                            .expect("improving ⇒ non-empty better list"),
+                        ResponseKind::Best => {
+                            let response = cache.best(user);
+                            let &route = pick(&response.best_routes, rng)
+                                .expect("improving ⇒ non-empty best set");
+                            (route, response.gain)
+                        }
+                    };
+                    picks.push(Pick { user, route, gain });
                 }
                 if picks.is_empty() {
                     converged = true;
@@ -506,30 +357,6 @@ fn run_distributed_from_observed(
                 // conflict graph, so only MUUN pays for request building.
                 slots += 1;
                 let updated = match algorithm {
-                    DistributedAlgorithm::Dgrn | DistributedAlgorithm::Brun => {
-                        let g = &picks[rng.random_range(0..picks.len())];
-                        engine.apply_move(g.user, g.route);
-                        updates += 1;
-                        min_improvement = min_improvement.min(g.gain);
-                        1
-                    }
-                    DistributedAlgorithm::Buau => {
-                        let tau = |p: &Pick| p.gain / engine.alpha_of(p.user);
-                        let mut best = 0usize;
-                        let mut best_tau = tau(&picks[0]);
-                        for (i, p) in picks.iter().enumerate().skip(1) {
-                            let t = tau(p);
-                            if best_tau.total_cmp(&t) != std::cmp::Ordering::Greater {
-                                best = i;
-                                best_tau = t;
-                            }
-                        }
-                        let g = &picks[best];
-                        engine.apply_move(g.user, g.route);
-                        updates += 1;
-                        min_improvement = min_improvement.min(g.gain);
-                        1
-                    }
                     DistributedAlgorithm::Muun => {
                         // Same τ and B_i as `UpdateRequest::build`, but B_i
                         // comes from the cross-slot cache: only users that
@@ -564,7 +391,21 @@ fn run_distributed_from_observed(
                         batch_span.finish();
                         granted.len()
                     }
-                    DistributedAlgorithm::Bats => unreachable!("handled above"),
+                    _ => {
+                        let g = if algorithm == DistributedAlgorithm::Buau {
+                            let tau = |p: &Pick| p.gain / engine.alpha_of(p.user);
+                            (0..picks.len())
+                                .max_by(|&a, &b| tau(&picks[a]).total_cmp(&tau(&picks[b])))
+                                .expect("at least one request")
+                        } else {
+                            rng.random_range(0..picks.len())
+                        };
+                        let g = &picks[g];
+                        engine.apply_move(g.user, g.route);
+                        updates += 1;
+                        min_improvement = min_improvement.min(g.gain);
+                        1
+                    }
                 };
                 record(&engine, updated, &mut slot_trace, &mut user_profit_trace);
                 if let Some(start) = slot_start {
@@ -601,16 +442,18 @@ fn run_distributed_from_observed(
     }
 }
 
-/// Reference driver: the pre-engine implementation, recomputing every user's
-/// response and the full `ϕ`/total-profit each slot. Identical trajectories
-/// to [`run_distributed_from`] per seed; kept as the equivalence oracle.
-fn run_distributed_from_naive(
+/// Reference (naive) counterpart of [`run_distributed`]: same seed, same
+/// trajectory, but every slot re-derives responses, `ϕ` and the total profit
+/// from scratch instead of using the incremental [`Engine`] — the
+/// pre-engine implementation, kept as the equivalence oracle and for the
+/// old-vs-new benchmarks.
+pub fn run_distributed_naive(
     game: &Game,
     algorithm: DistributedAlgorithm,
     config: &RunConfig,
-    mut profile: Profile,
-    rng: &mut StdRng,
 ) -> RunOutcome {
+    let rng = &mut StdRng::seed_from_u64(config.seed);
+    let mut profile = random_initial_profile(game, rng);
     let m = game.user_count();
     let mut slot_trace = Vec::new();
     let mut user_profit_trace = config.record_user_profits.then(Vec::new);

@@ -139,7 +139,11 @@ fn equivalence_holds_on_larger_instances() {
     // A denser instance where dirty sets are non-trivial: many users share
     // each task, so a single move invalidates a real subset, not everyone.
     let game = scenario_game(3, 40);
-    for algorithm in [DistributedAlgorithm::Dgrn, DistributedAlgorithm::Muun] {
+    for algorithm in [
+        DistributedAlgorithm::Dgrn,
+        DistributedAlgorithm::Brun,
+        DistributedAlgorithm::Muun,
+    ] {
         assert_equivalent(&game, algorithm, &RunConfig::with_seed(17));
     }
 }
@@ -151,6 +155,30 @@ fn equivalence_under_slot_cap() {
     for algorithm in DistributedAlgorithm::ALL {
         let mut config = RunConfig::with_seed(8);
         config.max_slots = 3;
+        assert_equivalent(&game, algorithm, &config);
+    }
+}
+
+#[test]
+fn equivalence_holds_through_the_parallel_refresh() {
+    // The first refresh drains every user, and 5000 is above the response
+    // cache's parallel threshold (4096), so the opening slots rescan on
+    // the rayon pool. Pin at least two workers so a one-core host takes
+    // that path too; results are identical at any width.
+    if rayon::current_num_threads() < 2 {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(2)
+            .build_global()
+            .expect("pin two workers");
+    }
+    let game = scenario_game(21, 5000);
+    for algorithm in [
+        DistributedAlgorithm::Dgrn,
+        DistributedAlgorithm::Brun,
+        DistributedAlgorithm::Muun,
+    ] {
+        let mut config = RunConfig::with_seed(4);
+        config.max_slots = 5;
         assert_equivalent(&game, algorithm, &config);
     }
 }

@@ -18,7 +18,8 @@
 //! * the incremental solver engine — cached share/potential tables, a
 //!   task→users inverted index, O(Δ)-per-move potential and total-profit
 //!   maintenance and dirty-set best-response invalidation ([`Engine`],
-//!   [`ShareTables`]);
+//!   [`ShareTables`]), and the response cache every solver loop refreshes
+//!   from the dirty set ([`ResponseCache`]);
 //! * the theoretical artifacts: Theorem 4's convergence-slot bound
 //!   ([`bounds`]), Theorem 5's Price-of-Anarchy bound ([`poa`]) and the
 //!   Theorem 1 set-cover reduction ([`reduction`]);
@@ -62,6 +63,7 @@
 
 pub mod bounds;
 pub mod breakdown;
+pub mod cache;
 pub mod churn;
 pub mod engine;
 pub mod error;
@@ -79,6 +81,7 @@ pub mod task;
 pub mod user;
 
 pub use breakdown::{all_breakdowns, profit_breakdown, profit_breakdown_engine, ProfitBreakdown};
+pub use cache::ResponseCache;
 pub use churn::{apply_churn, ChurnEvent, UserSpec};
 pub use engine::{Engine, ShareTables};
 pub use error::GameError;

@@ -20,7 +20,7 @@ use crate::profile::Profile;
 pub const EPSILON: f64 = 1e-9;
 
 /// Result of scanning a user's recommended set for a best response.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct BestResponse {
     /// The best route set `Δ_i(t)`: all routes attaining the maximum profit,
     /// **empty when the current route is already (tied-for) optimal**.

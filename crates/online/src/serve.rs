@@ -4,19 +4,21 @@
 //! [`crate::OnlineSim`] runs a *closed* experiment — a pre-synthesized
 //! churn stream, a fixed number of epochs, a report at the end. A deployed
 //! platform instead holds a long-lived game and answers requests as they
-//! arrive, with no known end. [`ServeCore`] is that executor, factored out
-//! of the epoch scheduler so the two share the exact same dynamics
-//! ([`compute_request`](crate::sim) / [`drive`](crate::sim), i.e. the SUU
-//! rule of Alg. 2 priced from the incremental engine's caches):
+//! arrive, with no known end. [`ServeCore`] is that executor. It shares the
+//! epoch scheduler's standing requests and slot loop, i.e. the SUU rule of
+//! Alg. 2 over a [`ResponseCache`](vcs_core::ResponseCache) refreshed from
+//! the engine's dirty set:
 //!
 //! * **Join** — the core synthesizes a paper-range vehicle spec from its
 //!   own seeded RNG (the wire request carries only a shard hint, so frames
 //!   stay tiny and a run is reproducible from `(seed, request stream)`),
-//!   admits it via [`Engine::add_user`], and re-converges.
-//! * **Leave** — [`Engine::remove_user`], then re-converge.
-//! * **BestRespond** — evaluate the named user's standing request under
-//!   the configured [`OnlineAlgorithm`]; apply it if improving, then
-//!   re-converge.
+//!   admits it via [`Engine::add_user`] and into the cache, and
+//!   re-converges.
+//! * **Leave** — [`Engine::remove_user`], drop the user from the cache,
+//!   then re-converge.
+//! * **BestRespond** — draw a route from the named user's cached response
+//!   under the configured [`OnlineAlgorithm`] (current, since every request
+//!   ends in a refresh); apply it if improving, then re-converge.
 //!
 //! Every mutating request ends in a bounded re-convergence (the serving
 //! layer times it under [`SpanKind::ConvergeWait`]), so between requests
@@ -33,12 +35,12 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
-use vcs_core::ids::{RouteId, TaskId, UserId};
-use vcs_core::{Engine, Game, GameError, PlatformParams, Profile, Task, User};
+use vcs_core::ids::{RouteId, UserId};
+use vcs_core::{Engine, GameError};
 use vcs_obs::{Obs, SpanKind};
 
-use crate::sim::{compute_request, drive, OnlineAlgorithm};
-use crate::stream::{synthetic_spec, synthetic_task};
+use crate::sim::{random_profile, OnlineAlgorithm, Requests};
+use crate::stream::{synthetic_game, synthetic_spec};
 
 /// Shape of one serving core (one shard lane's game).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -78,11 +80,7 @@ impl Default for ServeCoreConfig {
 #[derive(Debug)]
 pub struct ServeCore {
     engine: Engine<'static>,
-    requests: Vec<Option<RouteId>>,
-    /// Local liveness mirror (the engine tracks this too, but only exposes
-    /// an iterator — the mirror gives O(1) validation per request).
-    active: Vec<bool>,
-    algo: OnlineAlgorithm,
+    requests: Requests,
     rng: StdRng,
     n_tasks: usize,
     max_slots_per_request: usize,
@@ -98,29 +96,11 @@ impl ServeCore {
     /// [`slots_total`](Self::slots_total) like any request).
     pub fn new(config: ServeCoreConfig) -> Self {
         let mut rng = StdRng::seed_from_u64(config.seed);
-        let tasks: Vec<Task> = (0..config.n_tasks)
-            .map(|k| synthetic_task(TaskId::from_index(k), &mut rng))
-            .collect();
-        let users: Vec<User> = (0..config.initial_users)
-            .map(|i| {
-                let spec = synthetic_spec(config.n_tasks, &mut rng);
-                User::new(UserId::from_index(i), spec.prefs, spec.routes)
-            })
-            .collect();
-        let game = Game::with_paper_bounds(tasks, users, PlatformParams::new(0.4, 0.4))
-            .expect("synthetic parameters are in paper range");
-        let choices: Vec<RouteId> = game
-            .users()
-            .iter()
-            .map(|u| RouteId::from_index(rng.random_range(0..u.routes.len())))
-            .collect();
-        let profile =
-            Profile::try_new(&game, choices).expect("random initial choices index each route set");
+        let game = synthetic_game(config.n_tasks, config.initial_users, &mut rng);
+        let profile = random_profile(&game, &mut rng);
         let mut core = ServeCore {
             engine: Engine::new_owned(game, profile),
-            requests: vec![None; config.initial_users],
-            active: vec![true; config.initial_users],
-            algo: config.algo,
+            requests: Requests::new(config.algo, config.initial_users),
             rng,
             n_tasks: config.n_tasks,
             max_slots_per_request: config.max_slots_per_request,
@@ -144,10 +124,8 @@ impl ServeCore {
     /// budget), returning the slots consumed.
     fn converge(&mut self) -> u64 {
         let span = self.obs.span(SpanKind::ConvergeWait);
-        let (slots, converged) = drive(
+        let (slots, converged) = self.requests.drive(
             &mut self.engine,
-            &mut self.requests,
-            self.algo,
             &mut self.rng,
             self.max_slots_per_request,
             &self.obs,
@@ -172,9 +150,7 @@ impl ServeCore {
             .engine
             .add_user(spec.prefs, spec.routes, initial)
             .expect("synthesized specs are paper-range valid");
-        debug_assert_eq!(user.index(), self.requests.len());
-        self.requests.push(None);
-        self.active.push(true);
+        self.requests.push_user(user);
         let slots = self.converge();
         (user, slots)
     }
@@ -189,8 +165,7 @@ impl ServeCore {
             return Err(GameError::UnknownUser { user });
         }
         self.engine.remove_user(user)?;
-        self.requests[user.index()] = None;
-        self.active[user.index()] = false;
+        self.requests.remove_user(user);
         Ok(self.converge())
     }
 
@@ -207,10 +182,11 @@ impl ServeCore {
         if !self.is_active(user) {
             return Err(GameError::UnknownUser { user });
         }
-        match compute_request(&self.engine, self.algo, user, &mut self.rng) {
+        // Every mutator ends in a refresh with no later move, so the cached
+        // response is current; the request is a fresh draw from it.
+        match self.requests.draw(user, &mut self.rng) {
             Some(route) => {
                 self.engine.apply_move(user, route);
-                self.requests[user.index()] = None;
                 Ok((true, self.converge()))
             }
             None => Ok((false, 0)),
@@ -219,7 +195,7 @@ impl ServeCore {
 
     /// Whether `user` is currently on the platform.
     pub fn is_active(&self, user: UserId) -> bool {
-        self.active.get(user.index()).copied().unwrap_or(false)
+        self.engine.is_active(user)
     }
 
     /// Vehicles currently on the platform.
@@ -340,7 +316,7 @@ mod tests {
                         log.push((u64::MAX, s));
                     }
                     _ => {
-                        let target = UserId::from_index(core.requests.len() - 1);
+                        let target = UserId::from_index(core.engine().game().user_count() - 1);
                         let (m, s) = core.best_respond(target).unwrap();
                         log.push((u64::from(m), s));
                     }
@@ -373,7 +349,7 @@ mod tests {
         }
         let before = core.phi();
         let mut moved_any = false;
-        for i in 0..core.requests.len() {
+        for i in 0..core.engine().game().user_count() {
             let user = UserId::from_index(i);
             if !core.is_active(user) {
                 continue;

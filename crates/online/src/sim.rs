@@ -32,7 +32,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
 use vcs_core::ids::{RouteId, UserId};
-use vcs_core::{apply_churn, is_nash, Engine, Game, Profile};
+use vcs_core::{apply_churn, is_nash, ChurnEvent, Engine, Game, Profile, ResponseCache};
 use vcs_obs::{Event, Obs, ResponseKind, SpanKind};
 
 use crate::stream::EventStream;
@@ -152,113 +152,151 @@ impl OnlineReport {
     }
 }
 
-/// Computes `user`'s standing request under `algo`: `Some(route)` when the
-/// user can strictly improve, `None` when it is satisfied. Draws one RNG
-/// pick per improving evaluation (part of the deterministic trajectory).
-pub(crate) fn compute_request(
-    engine: &Engine<'_>,
-    algo: OnlineAlgorithm,
-    user: UserId,
-    rng: &mut StdRng,
-) -> Option<RouteId> {
-    match algo {
-        OnlineAlgorithm::Dgrn => {
-            let best = engine.best_route_set(user);
-            if best.best_routes.is_empty() {
-                None
-            } else {
-                Some(best.best_routes[rng.random_range(0..best.best_routes.len())])
-            }
-        }
-        OnlineAlgorithm::Brun => {
-            let better = engine.better_routes(user);
-            if better.is_empty() {
-                None
-            } else {
-                Some(better[rng.random_range(0..better.len())].0)
-            }
-        }
-    }
+/// A uniformly random route per user, drawn in id order (Alg. 1 line 4:
+/// arbitrary initial decisions).
+pub(crate) fn random_profile(game: &Game, rng: &mut StdRng) -> Profile {
+    let choices = game
+        .users()
+        .iter()
+        .map(|u| RouteId::from_index(rng.random_range(0..u.routes.len())))
+        .collect();
+    Profile::try_new(game, choices).expect("random choices index each route set")
 }
 
-/// Re-evaluates the standing requests of every user the engine marked dirty
-/// (in id order — the order is part of the deterministic trajectory).
-pub(crate) fn refresh(
-    engine: &mut Engine<'_>,
-    requests: &mut [Option<RouteId>],
-    algo: OnlineAlgorithm,
-    rng: &mut StdRng,
-    obs: &Obs,
-) {
-    // One span and one `RefreshPass` event per pass, not per scan: an
-    // incremental scan is ~100ns, below the cost of timing or emitting it.
-    let refresh_span = obs.span(SpanKind::BestResponse);
-    let mut scans = 0u32;
-    let mut improving = 0u32;
-    for user in engine.take_dirty() {
-        scans += 1;
-        let request = compute_request(engine, algo, user, rng);
-        improving += u32::from(request.is_some());
-        requests[user.index()] = request;
-    }
-    if scans > 0 {
-        refresh_span.finish();
-        obs.emit(|| Event::RefreshPass {
-            kind: match algo {
-                OnlineAlgorithm::Dgrn => ResponseKind::Best,
-                OnlineAlgorithm::Brun => ResponseKind::Better,
-            },
-            scans,
-            improving,
-        });
-    } else {
-        refresh_span.cancel();
-    }
+/// The scheduler's standing requests: the response cache, plus the route
+/// each improving user requested when its response was last refreshed.
+#[derive(Debug)]
+pub(crate) struct Requests {
+    cache: ResponseCache,
+    standing: Vec<Option<RouteId>>,
 }
 
-/// Drives the engine to a fixed point (or the slot budget): each slot
-/// refreshes dirty requests, then grants one uniformly random standing
-/// request — the SUU rule of Alg. 2, priced from the engine's caches.
-/// Returns `(slots, converged)`.
-pub(crate) fn drive(
-    engine: &mut Engine<'_>,
-    requests: &mut [Option<RouteId>],
-    algo: OnlineAlgorithm,
-    rng: &mut StdRng,
-    max_slots: usize,
-    obs: &Obs,
-) -> (usize, bool) {
-    let mut slots = 0;
-    loop {
-        // A pass that finds no improving user (or an exhausted budget) is
-        // not a decision slot — the span is cancelled on those paths.
-        let slot_span = obs.span(SpanKind::Slot);
-        refresh(engine, requests, algo, rng, obs);
-        let improving: Vec<UserId> = engine
-            .active_users()
-            .filter(|u| requests[u.index()].is_some())
-            .collect();
-        if improving.is_empty() {
-            slot_span.cancel();
-            return (slots, true);
+impl Requests {
+    /// Requests of `users` users, all due for a refresh (a fresh engine
+    /// starts all-dirty).
+    pub(crate) fn new(algo: OnlineAlgorithm, users: usize) -> Self {
+        let kind = match algo {
+            OnlineAlgorithm::Dgrn => ResponseKind::Best,
+            OnlineAlgorithm::Brun => ResponseKind::Better,
+        };
+        Requests {
+            cache: ResponseCache::new(kind, vec![true; users]),
+            standing: vec![None; users],
         }
-        if slots >= max_slots {
-            slot_span.cancel();
-            return (slots, false);
+    }
+
+    /// Adopts another scheduler's `standing` requests over a fresh
+    /// `engine` of the same users: one refresh fills the cache without an
+    /// RNG draw, so a replay retraces the original trajectory.
+    fn adopt(
+        algo: OnlineAlgorithm,
+        engine: &mut Engine<'_>,
+        standing: Vec<Option<RouteId>>,
+    ) -> Self {
+        let mut requests = Requests::new(algo, standing.len());
+        requests.cache.refresh(engine);
+        let improving = requests.cache.improving().iter().map(|&i| i as usize);
+        debug_assert!(
+            improving.eq((0..standing.len()).filter(|&i| standing[i].is_some())),
+            "the adopted requests are exactly the fresh engine's improvers"
+        );
+        requests.standing = standing;
+        requests
+    }
+
+    /// Makes room for joining `user`, which must be the engine's next id.
+    pub(crate) fn push_user(&mut self, user: UserId) {
+        debug_assert_eq!(user.index(), self.standing.len(), "joins take the next id");
+        self.cache.push_user();
+        self.standing.push(None);
+    }
+
+    /// Drops departed `user`'s request.
+    pub(crate) fn remove_user(&mut self, user: UserId) {
+        self.cache.remove_user(user);
+        self.standing[user.index()] = None;
+    }
+
+    /// A uniformly random route from `user`'s cached response (`None` when
+    /// it cannot improve): one RNG draw per improving user, part of the
+    /// deterministic trajectory.
+    pub(crate) fn draw(&self, user: UserId, rng: &mut StdRng) -> Option<RouteId> {
+        match self.cache.kind() {
+            ResponseKind::Best => {
+                let routes = &self.cache.best(user).best_routes;
+                (!routes.is_empty()).then(|| routes[rng.random_range(0..routes.len())])
+            }
+            ResponseKind::Better => {
+                let better = self.cache.better(user);
+                (!better.is_empty()).then(|| better[rng.random_range(0..better.len())].0)
+            }
         }
-        let user = improving[rng.random_range(0..improving.len())];
-        let route = requests[user.index()]
-            .take()
-            .expect("improving user holds a standing request");
-        engine.apply_move(user, route);
-        slots += 1;
-        slot_span.finish();
-        obs.emit(|| Event::SlotCompleted {
-            slot: slots as u64,
-            updated: 1,
-            phi: engine.potential(),
-            total_profit: engine.total_profit(),
-        });
+    }
+
+    /// Refreshes the responses of every user the engine marked dirty and
+    /// draws their standing requests, in id order (the order is part of
+    /// the deterministic trajectory).
+    fn refresh(&mut self, engine: &mut Engine<'_>, rng: &mut StdRng, obs: &Obs) {
+        // One span and one `RefreshPass` event per pass, not per scan: an
+        // incremental scan is ~100ns, below the cost of timing or emitting it.
+        let refresh_span = obs.span(SpanKind::BestResponse);
+        let (scans, improving) = self.cache.refresh(engine);
+        for &user in self.cache.refreshed() {
+            self.standing[user.index()] = self.draw(user, rng);
+        }
+        if scans > 0 {
+            refresh_span.finish();
+            obs.emit(|| Event::RefreshPass {
+                kind: self.cache.kind(),
+                scans,
+                improving,
+            });
+        } else {
+            refresh_span.cancel();
+        }
+    }
+
+    /// Drives the engine to a fixed point (or the slot budget): each slot
+    /// refreshes dirty requests, then grants one uniformly random standing
+    /// request — the SUU rule of Alg. 2, priced from the engine's caches.
+    /// Returns `(slots, converged)`. Ends on a refresh with no later move,
+    /// so the cache is current for the engine it returns.
+    pub(crate) fn drive(
+        &mut self,
+        engine: &mut Engine<'_>,
+        rng: &mut StdRng,
+        max_slots: usize,
+        obs: &Obs,
+    ) -> (usize, bool) {
+        let mut slots = 0;
+        loop {
+            // A pass that finds no improving user (or an exhausted budget)
+            // is not a decision slot — the span is cancelled on those paths.
+            let slot_span = obs.span(SpanKind::Slot);
+            self.refresh(engine, rng, obs);
+            let improving = self.cache.improving();
+            if improving.is_empty() {
+                slot_span.cancel();
+                return (slots, true);
+            }
+            if slots >= max_slots {
+                slot_span.cancel();
+                return (slots, false);
+            }
+            let user = UserId::from_index(improving[rng.random_range(0..improving.len())] as usize);
+            let route = self.standing[user.index()]
+                .take()
+                .expect("improving user holds a standing request");
+            engine.apply_move(user, route);
+            slots += 1;
+            slot_span.finish();
+            obs.emit(|| Event::SlotCompleted {
+                slot: slots as u64,
+                updated: 1,
+                phi: engine.potential(),
+                total_profit: engine.total_profit(),
+            });
+        }
     }
 }
 
@@ -267,7 +305,7 @@ pub(crate) fn drive(
 #[derive(Debug)]
 pub struct OnlineSim {
     engine: Engine<'static>,
-    requests: Vec<Option<RouteId>>,
+    requests: Requests,
     algo: OnlineAlgorithm,
     rng: StdRng,
     seed: u64,
@@ -283,17 +321,10 @@ impl OnlineSim {
     /// initial profile (Alg. 1 line 4: arbitrary initial decisions).
     pub fn new(game: Game, algo: OnlineAlgorithm, seed: u64, max_slots_per_epoch: usize) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
-        let choices: Vec<RouteId> = game
-            .users()
-            .iter()
-            .map(|u| RouteId::from_index(rng.random_range(0..u.routes.len())))
-            .collect();
-        let n_users = game.user_count();
-        let profile =
-            Profile::try_new(&game, choices).expect("random initial choices index each route set");
+        let profile = random_profile(&game, &mut rng);
         Self {
+            requests: Requests::new(algo, game.user_count()),
             engine: Engine::new_owned(game, profile),
-            requests: vec![None; n_users],
             algo,
             rng,
             seed,
@@ -316,6 +347,26 @@ impl OnlineSim {
         self.obs = obs;
     }
 
+    /// Re-converges the live engine under one `EpochReconverge` span and
+    /// closes epoch `epoch` with its `EpochConverged`.
+    fn reconverge(&mut self, epoch: u32) -> (usize, bool) {
+        let (slots, converged) = self.obs.time(SpanKind::EpochReconverge, || {
+            self.requests.drive(
+                &mut self.engine,
+                &mut self.rng,
+                self.max_slots_per_epoch,
+                &self.obs,
+            )
+        });
+        self.obs.emit(|| Event::EpochConverged {
+            epoch,
+            slots: slots as u64,
+            converged,
+            phi: self.engine.potential(),
+        });
+        (slots, converged)
+    }
+
     /// Drives the stream: initial convergence, then per epoch apply the
     /// batch, warm re-converge, retrace on a from-scratch engine
     /// (equivalence replay), and run the cold-restart baseline.
@@ -332,34 +383,24 @@ impl OnlineSim {
             leaves: 0,
             active: self.engine.active_count() as u32,
         });
-        let (initial_slots, mut converged) = self.obs.time(SpanKind::EpochReconverge, || {
-            drive(
-                &mut self.engine,
-                &mut self.requests,
-                self.algo,
-                &mut self.rng,
-                self.max_slots_per_epoch,
-                &self.obs,
-            )
-        });
-        self.obs.emit(|| Event::EpochConverged {
-            epoch: 0,
-            slots: initial_slots as u64,
-            converged,
-            phi: self.engine.potential(),
-        });
+        let (initial_slots, mut converged) = self.reconverge(0);
         let mut epochs = Vec::with_capacity(stream.epochs());
         for (epoch, batch) in stream.batches.iter().enumerate() {
             let warm_start = Instant::now();
             let mut joins = 0;
             let mut leaves = 0;
             for event in batch {
-                match apply_churn(&mut self.engine, event).expect("stream events are valid") {
-                    Some(_) => {
-                        self.requests.push(None);
+                let joined = apply_churn(&mut self.engine, event).expect("stream events are valid");
+                match event {
+                    ChurnEvent::Join { .. } => {
+                        self.requests
+                            .push_user(joined.expect("a join returns its id"));
                         joins += 1;
                     }
-                    None => leaves += 1,
+                    ChurnEvent::Leave { user } => {
+                        self.requests.remove_user(*user);
+                        leaves += 1;
+                    }
                 }
             }
             self.obs.emit(|| Event::EpochStarted {
@@ -370,13 +411,8 @@ impl OnlineSim {
             });
             // Make the standing-request cache fully valid again before
             // forking the replay: only churn-dirtied users are re-evaluated.
-            refresh(
-                &mut self.engine,
-                &mut self.requests,
-                self.algo,
-                &mut self.rng,
-                &self.obs,
-            );
+            self.requests
+                .refresh(&mut self.engine, &mut self.rng, &self.obs);
 
             // Fork the equivalence replay *before* warm re-convergence: a
             // from-scratch engine on the materialized post-churn game, the
@@ -384,39 +420,21 @@ impl OnlineSim {
             // clone of the RNG retrace the warm trajectory exactly.
             let (post_game, post_choices, id_map) = self.engine.materialize();
             let mut replay_rng = self.rng.clone();
-            let mut replay_requests: Vec<Option<RouteId>> =
-                id_map.iter().map(|u| self.requests[u.index()]).collect();
+            let replay_standing: Vec<Option<RouteId>> = id_map
+                .iter()
+                .map(|u| self.requests.standing[u.index()])
+                .collect();
 
-            let (warm_slots, warm_ok) = self.obs.time(SpanKind::EpochReconverge, || {
-                drive(
-                    &mut self.engine,
-                    &mut self.requests,
-                    self.algo,
-                    &mut self.rng,
-                    self.max_slots_per_epoch,
-                    &self.obs,
-                )
-            });
+            let (warm_slots, warm_ok) = self.reconverge(epoch as u32 + 1);
             let warm_secs = warm_start.elapsed().as_secs_f64();
             let phi_warm = self.engine.potential();
             let profit = self.engine.total_profit();
-            self.obs.emit(|| Event::EpochConverged {
-                epoch: (epoch + 1) as u32,
-                slots: warm_slots as u64,
-                converged: warm_ok,
-                phi: phi_warm,
-            });
 
             let replay_profile = Profile::try_new(&post_game, post_choices)
                 .expect("materialized choices form a valid profile");
             let mut replay = Engine::new(&post_game, replay_profile);
-            // Fresh engines start all-dirty; the copied standing requests
-            // already cover every user, so drain without re-evaluating.
-            replay.take_dirty();
-            let (replay_slots, _) = drive(
+            let (replay_slots, _) = Requests::adopt(self.algo, &mut replay, replay_standing).drive(
                 &mut replay,
-                &mut replay_requests,
-                self.algo,
                 &mut replay_rng,
                 self.max_slots_per_epoch,
                 &Obs::disabled(),
@@ -440,19 +458,9 @@ impl OnlineSim {
             let mut cold_rng = StdRng::seed_from_u64(
                 self.seed ^ (epoch as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
             );
-            let cold_choices: Vec<RouteId> = post_game
-                .users()
-                .iter()
-                .map(|u| RouteId::from_index(cold_rng.random_range(0..u.routes.len())))
-                .collect();
-            let cold_profile = Profile::try_new(&post_game, cold_choices)
-                .expect("random choices index each route set");
-            let mut cold = Engine::new(&post_game, cold_profile);
-            let mut cold_requests: Vec<Option<RouteId>> = vec![None; post_game.user_count()];
-            let (cold_slots, cold_ok) = drive(
+            let mut cold = Engine::new(&post_game, random_profile(&post_game, &mut cold_rng));
+            let (cold_slots, cold_ok) = Requests::new(self.algo, post_game.user_count()).drive(
                 &mut cold,
-                &mut cold_requests,
-                self.algo,
                 &mut cold_rng,
                 self.max_slots_per_epoch,
                 &Obs::disabled(),

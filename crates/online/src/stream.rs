@@ -83,7 +83,7 @@ impl EventStream {
 }
 
 /// One paper-range task: `a_k ∈ [10, 20)`, `μ_k ∈ [0, 1)`.
-pub(crate) fn synthetic_task(id: TaskId, rng: &mut StdRng) -> Task {
+fn synthetic_task(id: TaskId, rng: &mut StdRng) -> Task {
     Task::new(id, rng.random_range(10.0..20.0), rng.random_range(0.0..1.0))
 }
 
@@ -116,6 +116,22 @@ pub(crate) fn synthetic_spec(n_tasks: usize, rng: &mut StdRng) -> UserSpec {
     UserSpec::new(prefs, routes)
 }
 
+/// A paper-range game of `n_users` synthetic users over `n_tasks` synthetic
+/// tasks, drawn from `rng` (tasks first, then users in id order).
+pub(crate) fn synthetic_game(n_tasks: usize, n_users: usize, rng: &mut StdRng) -> Game {
+    let tasks: Vec<Task> = (0..n_tasks)
+        .map(|k| synthetic_task(TaskId::from_index(k), rng))
+        .collect();
+    let users: Vec<User> = (0..n_users)
+        .map(|i| {
+            let spec = synthetic_spec(n_tasks, rng);
+            User::new(UserId::from_index(i), spec.prefs, spec.routes)
+        })
+        .collect();
+    Game::with_paper_bounds(tasks, users, PlatformParams::new(0.4, 0.4))
+        .expect("synthetic parameters are in paper range")
+}
+
 /// Synthesizes an initial game plus a churn stream, entirely from the seed.
 ///
 /// Each epoch replaces `max(1, round(churn_rate · active))` users: events
@@ -124,17 +140,7 @@ pub(crate) fn synthetic_spec(n_tasks: usize, rng: &mut StdRng) -> UserSpec {
 /// orderings rather than all-leaves-then-all-joins.
 pub fn synthetic_stream(config: &StreamConfig) -> (Game, EventStream) {
     let mut rng = StdRng::seed_from_u64(config.seed);
-    let tasks: Vec<Task> = (0..config.n_tasks)
-        .map(|k| synthetic_task(TaskId::from_index(k), &mut rng))
-        .collect();
-    let users: Vec<User> = (0..config.initial_users)
-        .map(|i| {
-            let spec = synthetic_spec(config.n_tasks, &mut rng);
-            User::new(UserId::from_index(i), spec.prefs, spec.routes)
-        })
-        .collect();
-    let game = Game::with_paper_bounds(tasks, users, PlatformParams::new(0.4, 0.4))
-        .expect("synthetic parameters are in paper range");
+    let game = synthetic_game(config.n_tasks, config.initial_users, &mut rng);
 
     // Id accounting mirrors the engine: ids are append-only, never reused.
     let mut active: Vec<UserId> = (0..config.initial_users).map(UserId::from_index).collect();

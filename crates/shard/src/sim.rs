@@ -62,8 +62,8 @@ use std::convert::Infallible;
 use std::io;
 use vcs_core::bounds::slot_upper_bound;
 use vcs_core::ids::{RouteId, UserId};
-use vcs_core::{BestResponse, Engine, Game, Profile};
-use vcs_obs::{Event, FrameStamp, FrameStamper, Obs, SpanKind};
+use vcs_core::{Engine, Game, Profile, ResponseCache};
+use vcs_obs::{Event, FrameStamp, FrameStamper, Obs, ResponseKind, SpanKind};
 use vcs_online::{Snapshot, SnapshotError};
 
 /// Configuration of a sharded run.
@@ -129,15 +129,9 @@ pub(crate) struct ShardLane {
     /// off `obs`, so spans never reach a deterministic dump; disabled
     /// unless a worker installs one.
     pub(crate) span_obs: Obs,
-    /// Local id → this lane drives the user in phase 1 (interior users).
-    driven: Vec<bool>,
-    /// Cached best responses, maintained for driven users only.
-    responses: Vec<BestResponse>,
-    improving_flag: Vec<bool>,
-    /// Sorted local ids of driven users with a non-empty best-route set.
-    improving: Vec<u32>,
-    drained: Vec<UserId>,
-    edits: Vec<(u32, bool)>,
+    /// Best responses of the users this lane drives in phase 1 (its
+    /// interior users), by local id.
+    cache: ResponseCache,
     /// Decision slots committed at this shard (interior + boundary-home).
     pub(crate) slots: u64,
     /// Whether the last interior phase ended at a local fixpoint (as
@@ -240,18 +234,7 @@ impl ShardLane {
             rng,
             obs: Obs::default(),
             span_obs: Obs::default(),
-            driven,
-            responses: (0..m)
-                .map(|_| BestResponse {
-                    best_routes: Vec::new(),
-                    gain: 0.0,
-                    best_profit: 0.0,
-                })
-                .collect(),
-            improving_flag: vec![false; m],
-            improving: Vec::new(),
-            drained: Vec::new(),
-            edits: Vec::new(),
+            cache: ResponseCache::new(ResponseKind::Best, driven),
             slots: 0,
             converged: false,
             stamper: FrameStamper::default(),
@@ -330,45 +313,9 @@ impl ShardLane {
         let _span = span_obs.span(SpanKind::InteriorConverge);
         let mut done = 0u64;
         loop {
-            // Refresh responses for users dirtied since the last slot and
-            // keep the sorted improving set in sync (incremental edits,
-            // falling back to a rebuild when the batch of changes is large).
-            self.engine.take_dirty_into(&mut self.drained);
-            for &u in &self.drained {
-                let i = u.index();
-                if !self.driven[i] {
-                    continue;
-                }
-                self.engine.best_route_set_into(u, &mut self.responses[i]);
-                let now = !self.responses[i].best_routes.is_empty();
-                if now != self.improving_flag[i] {
-                    self.improving_flag[i] = now;
-                    self.edits.push((i as u32, now));
-                }
-            }
-            if self.edits.len() > self.improving.len() / 8 + 32 {
-                self.improving.clear();
-                self.improving.extend(
-                    (0..self.improving_flag.len())
-                        .filter(|&i| self.improving_flag[i])
-                        .map(|i| i as u32),
-                );
-            } else {
-                for &(i, now) in &self.edits {
-                    match self.improving.binary_search(&i) {
-                        Ok(at) if !now => {
-                            self.improving.remove(at);
-                        }
-                        Err(at) if now => {
-                            self.improving.insert(at, i);
-                        }
-                        _ => {}
-                    }
-                }
-            }
-            self.edits.clear();
-
-            if self.improving.is_empty() {
+            self.cache.refresh(&mut self.engine);
+            let improving = self.cache.improving();
+            if improving.is_empty() {
                 self.converged = true;
                 return done;
             }
@@ -379,14 +326,14 @@ impl ShardLane {
 
             // SUU grant: one uniform pick among improving users, then a
             // uniform tie-break among that user's best-route set.
-            let local = self.improving[self.rng.random_range(0..self.improving.len())];
-            let user = UserId::from_index(local as usize);
-            let resp = &self.responses[local as usize];
-            let route = resp.best_routes[self.rng.random_range(0..resp.best_routes.len())];
+            let user =
+                UserId::from_index(improving[self.rng.random_range(0..improving.len())] as usize);
+            let routes = &self.cache.best(user).best_routes;
+            let route = routes[self.rng.random_range(0..routes.len())];
             self.engine.apply_move(user, route);
             self.complete_slot();
             done += 1;
-            out.push((self.members[local as usize], route));
+            out.push((self.members[user.index()], route));
         }
     }
 
