@@ -7,78 +7,24 @@
 //! (Alg. 2 line 8), the granted users switch, and the platform refreshes
 //! the participant counts (Alg. 2 line 10). The loop ends when no request
 //! arrives — a Nash equilibrium by construction. The refresh and the
-//! improving set come from [`ResponseCache`]. BATS has a loop of its own:
-//! its users take round-robin turns, so it needs only the cursor user's
-//! response, cached lazily per user.
+//! improving set come from [`ResponseCache`]. The grant runs the same
+//! [`crate::scheduler`] functions as the naive driver and the runtime
+//! platform: `suu` over the slot's picks, `buau`/`puu` over borrowed views
+//! whose `B_i` is the engine's current and picked route task lists. The
+//! granted moves commit through [`Engine::apply_batch`]. BATS has a loop of
+//! its own: its users take round-robin turns, so it needs only the cursor
+//! user's response, cached lazily per user.
 
 use crate::outcome::{RunOutcome, SlotTrace};
 use crate::request::UpdateRequest;
-use crate::scheduler::{buau, puu, puu_views, suu, RequestView};
+use crate::scheduler::{buau, puu, suu, RequestView};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
-use vcs_core::ids::{RouteId, TaskId, UserId};
+use vcs_core::ids::{RouteId, UserId};
 use vcs_core::response::{best_route_set, better_routes, BestResponse, ProfitView};
 use vcs_core::{potential, Engine, Game, Profile, ResponseCache};
 use vcs_obs::{elapsed_nanos, Event, Obs, ResponseKind, SpanKind};
-
-/// Per-user cache of PUU affected-task sets `B_i = L_{s_i} ∪ L_{s'}`, keyed
-/// by candidate route and implicitly by the user's current route.
-///
-/// A row stays valid as long as the user's current route is unchanged — and
-/// the current route only changes through the user's own move, which marks it
-/// dirty — so the engine driver invalidates exactly the rows of drained dirty
-/// users and reuses every other buffer across slots. This is what keeps MUUN
-/// slots from re-materializing full [`UpdateRequest`]s (union allocation per
-/// improving user per slot).
-struct AffectedCache {
-    rows: Vec<Vec<Option<Box<[TaskId]>>>>,
-}
-
-impl AffectedCache {
-    fn new(game: &Game) -> Self {
-        Self {
-            rows: game
-                .users()
-                .iter()
-                .map(|u| vec![None; u.routes.len()])
-                .collect(),
-        }
-    }
-
-    /// Drops every cached set of `user` (its current route may have changed).
-    fn invalidate(&mut self, user: UserId) {
-        for entry in &mut self.rows[user.index()] {
-            *entry = None;
-        }
-    }
-
-    /// Builds the `B_i` buffer for `user` switching to `candidate` if it is
-    /// not already cached (same union-sort-dedup as [`UpdateRequest::build`]).
-    fn ensure(&mut self, game: &Game, profile: &Profile, user: UserId, candidate: RouteId) {
-        let slot = &mut self.rows[user.index()][candidate.index()];
-        if slot.is_none() {
-            let u = &game.users()[user.index()];
-            let current = &u.routes[profile.choice(user).index()];
-            let next = &u.routes[candidate.index()];
-            let mut affected: Vec<TaskId> = current
-                .tasks
-                .iter()
-                .chain(next.tasks.iter())
-                .copied()
-                .collect();
-            affected.sort_unstable();
-            affected.dedup();
-            *slot = Some(affected.into_boxed_slice());
-        }
-    }
-
-    fn get(&self, user: UserId, candidate: RouteId) -> &[TaskId] {
-        self.rows[user.index()][candidate.index()]
-            .as_deref()
-            .expect("ensured before use")
-    }
-}
 
 /// The five distributed algorithms evaluated in §5.2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -278,22 +224,17 @@ pub fn run_distributed_observed(
                 ResponseKind::Best
             };
             let mut cache = ResponseCache::new(kind, vec![true; m]);
-            // A would-be update request, before the full `UpdateRequest`
-            // (with its allocated affected-task set) is materialized. SUU
-            // only consumes the request *count* and BUAU only `τ = gain/α`,
-            // so for DGRN/BRUN/BUAU no `UpdateRequest` is ever built; PUU's
-            // conflict graph (MUUN) reads the affected-task sets from a
-            // per-user cache reused across slots.
+            // A would-be update request: the picked route and its gain. SUU
+            // reads only the pick count; BUAU and PUU read views whose `B_i`
+            // is the engine's current and picked route task lists, so no
+            // `UpdateRequest` is ever built.
             struct Pick {
                 user: UserId,
                 route: RouteId,
                 gain: f64,
             }
             let mut picks: Vec<Pick> = Vec::new();
-            let mut affected_cache =
-                (algorithm == DistributedAlgorithm::Muun).then(|| AffectedCache::new(game));
-            // MUUN's granted batch, rebuilt per slot and committed through
-            // the engine's conflict-free batch path.
+            // The granted moves, rebuilt per slot.
             let mut batch: Vec<(UserId, RouteId)> = Vec::new();
             while slots < config.max_slots {
                 // A pass that finds no request is termination, not a
@@ -312,11 +253,6 @@ pub fn run_distributed_observed(
                 // a single incremental scan is ~100ns, far below the cost of
                 // timing or emitting per scan.
                 let (scans, improving) = cache.refresh(&mut engine);
-                if let Some(affected) = &mut affected_cache {
-                    for &user in cache.refreshed() {
-                        affected.invalidate(user);
-                    }
-                }
                 if scans > 0 {
                     if let Some(start) = slot_start {
                         let nanos = elapsed_nanos(start);
@@ -350,63 +286,45 @@ pub fn run_distributed_observed(
                     converged = true;
                     break; // Alg. 2 line 11: no request ⇒ terminate.
                 }
-                // Grant exactly as the schedulers over the full request list
-                // would: `suu` draws one uniform index; `buau` takes the
-                // *last* maximum of `τ` under `total_cmp` (`Iterator::max_by`
-                // keeps the later element on ties); `puu` needs the real
-                // conflict graph, so only MUUN pays for request building.
+                // Alg. 2 line 8: the same schedulers the naive driver runs
+                // over its materialized requests.
                 slots += 1;
-                let updated = match algorithm {
-                    DistributedAlgorithm::Muun => {
-                        // Same τ and B_i as `UpdateRequest::build`, but B_i
-                        // comes from the cross-slot cache: only users that
-                        // turned up dirty since their last request rebuild it.
-                        let cache = affected_cache.as_mut().expect("built for MUUN");
-                        for p in &picks {
-                            cache.ensure(game, engine.profile(), p.user, p.route);
-                        }
+                let granted = match algorithm {
+                    DistributedAlgorithm::Buau | DistributedAlgorithm::Muun => {
                         let views: Vec<RequestView<'_>> = picks
                             .iter()
                             .map(|p| RequestView {
                                 user: p.user,
                                 tau: p.gain / engine.alpha_of(p.user),
-                                affected: cache.get(p.user, p.route),
+                                tasks: [
+                                    engine.route_task_list(p.user, engine.profile().choice(p.user)),
+                                    engine.route_task_list(p.user, p.route),
+                                ],
                             })
                             .collect();
-                        let granted = puu_views(&views);
-                        debug_assert!(!granted.is_empty());
-                        batch.clear();
-                        for &g in &granted {
-                            let p = &picks[g];
-                            batch.push((p.user, p.route));
-                            updates += 1;
-                            min_improvement = min_improvement.min(p.gain);
-                        }
-                        // PUU granted a pairwise conflict-free set (Theorem
-                        // 3), so the engine may compute the per-move deltas
-                        // in parallel and commit them in grant order —
-                        // bit-identical to the sequential loop.
-                        let batch_span = obs.span(SpanKind::BatchApply);
-                        engine.apply_batch(&batch);
-                        batch_span.finish();
-                        granted.len()
-                    }
-                    _ => {
-                        let g = if algorithm == DistributedAlgorithm::Buau {
-                            let tau = |p: &Pick| p.gain / engine.alpha_of(p.user);
-                            (0..picks.len())
-                                .max_by(|&a, &b| tau(&picks[a]).total_cmp(&tau(&picks[b])))
-                                .expect("at least one request")
+                        if algorithm == DistributedAlgorithm::Buau {
+                            buau(&views)
                         } else {
-                            rng.random_range(0..picks.len())
-                        };
-                        let g = &picks[g];
-                        engine.apply_move(g.user, g.route);
-                        updates += 1;
-                        min_improvement = min_improvement.min(g.gain);
-                        1
+                            puu(&views)
+                        }
                     }
+                    _ => suu(&picks, rng),
                 };
+                debug_assert!(!granted.is_empty());
+                batch.clear();
+                for &g in &granted {
+                    let p = &picks[g];
+                    batch.push((p.user, p.route));
+                    updates += 1;
+                    min_improvement = min_improvement.min(p.gain);
+                }
+                // PUU grants a pairwise conflict-free set (Theorem 3); a
+                // single grant is trivially one. Only MUUN's batch is timed.
+                let batch_span = (algorithm == DistributedAlgorithm::Muun)
+                    .then(|| obs.span(SpanKind::BatchApply));
+                engine.apply_batch(&batch);
+                drop(batch_span);
+                let updated = granted.len();
                 record(&engine, updated, &mut slot_trace, &mut user_profit_trace);
                 if let Some(start) = slot_start {
                     let nanos = elapsed_nanos(start);
@@ -539,10 +457,12 @@ pub fn run_distributed_naive(
                     converged = true;
                     break; // Alg. 2 line 11: no request ⇒ terminate.
                 }
+                let views: Vec<RequestView<'_>> =
+                    requests.iter().map(UpdateRequest::view).collect();
                 let granted: Vec<usize> = match algorithm {
                     DistributedAlgorithm::Dgrn | DistributedAlgorithm::Brun => suu(&requests, rng),
-                    DistributedAlgorithm::Buau => buau(&requests),
-                    DistributedAlgorithm::Muun => puu(&requests),
+                    DistributedAlgorithm::Buau => buau(&views),
+                    DistributedAlgorithm::Muun => puu(&views),
                     DistributedAlgorithm::Bats => unreachable!("handled above"),
                 };
                 debug_assert!(!granted.is_empty());

@@ -42,4 +42,4 @@ pub use dynamics::{
 pub use outcome::{RunOutcome, SlotTrace};
 pub use request::UpdateRequest;
 pub use rrn::run_rrn;
-pub use scheduler::{buau, optimal_selection, puu, suu, theorem3_bound};
+pub use scheduler::{buau, optimal_selection, puu, suu, theorem3_bound, RequestView};

@@ -1,6 +1,7 @@
 //! Update requests: what a user sends the platform when it wants to switch
 //! (Alg. 1 line 12, consumed by SUU/PUU in Alg. 2/3).
 
+use crate::scheduler::RequestView;
 use vcs_core::ids::{RouteId, TaskId, UserId};
 use vcs_core::{Game, Profile};
 
@@ -51,16 +52,26 @@ impl UpdateRequest {
         }
     }
 
+    /// The schedulers' view of this request: the carried `B_i` as one list.
+    pub fn view(&self) -> RequestView<'_> {
+        RequestView {
+            user: self.user,
+            tau: self.tau,
+            tasks: [&self.affected_tasks, &[]],
+        }
+    }
+
     /// Whether this request's affected task set intersects `other`'s
     /// (conflicting requests must not update in the same slot under PUU).
+    /// The schedulers decide admission by task occupancy instead; this
+    /// pairwise predicate is the tests' independent oracle.
     pub fn conflicts_with(&self, other: &UpdateRequest) -> bool {
         tasks_intersect(&self.affected_tasks, &other.affected_tasks)
     }
 }
 
-/// Linear merge intersection test over two **sorted** task lists — the PUU
-/// conflict predicate, shared by [`UpdateRequest::conflicts_with`] and the
-/// allocation-free scheduler views.
+/// Linear merge intersection test over two **sorted** task lists — the
+/// pairwise PUU conflict predicate behind [`UpdateRequest::conflicts_with`].
 pub fn tasks_intersect(a: &[TaskId], b: &[TaskId]) -> bool {
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {

@@ -1,13 +1,18 @@
-//! Platform-side user-update schedulers: SUU and PUU (Algorithm 3).
+//! Platform-side user-update schedulers: SUU, BUAU and PUU (Algorithm 3).
+//!
+//! The engine driver, the naive driver and the runtime platform all grant
+//! through these functions. BUAU and PUU read borrowed [`RequestView`]s, so
+//! no caller has to materialize an affected-task set to be scheduled.
 
-use crate::request::{tasks_intersect, UpdateRequest};
+use crate::request::UpdateRequest;
 use rand::rngs::StdRng;
 use rand::RngExt;
 use vcs_core::ids::{TaskId, UserId};
 
 /// Single User Update: grants the opportunity to one uniformly random
-/// requester per decision slot.
-pub fn suu(requests: &[UpdateRequest], rng: &mut StdRng) -> Vec<usize> {
+/// requester per decision slot. Only the request count matters, so any
+/// slice of requests (or would-be requests) will do.
+pub fn suu<T>(requests: &[T], rng: &mut StdRng) -> Vec<usize> {
     if requests.is_empty() {
         Vec::new()
     } else {
@@ -15,9 +20,31 @@ pub fn suu(requests: &[UpdateRequest], rng: &mut StdRng) -> Vec<usize> {
     }
 }
 
+/// Borrowed view of one update request: everything BUAU and PUU read.
+#[derive(Debug, Clone, Copy)]
+pub struct RequestView<'a> {
+    /// The requesting user.
+    pub user: UserId,
+    /// `τ_i = gain / α_i`.
+    pub tau: f64,
+    /// `B_i` as the union of two task lists, neither of which need be sorted
+    /// or disjoint from the other: the engine passes the current and the
+    /// picked route's lists, a wire-carried `B_i` passes `[B_i, &[]]`
+    /// ([`UpdateRequest::view`]).
+    pub tasks: [&'a [TaskId]; 2],
+}
+
+impl RequestView<'_> {
+    /// Every task of `B_i`, with repeats where the two lists overlap.
+    fn affected(&self) -> impl Iterator<Item = TaskId> + '_ {
+        self.tasks[0].iter().chain(self.tasks[1]).copied()
+    }
+}
+
 /// Best User of All Users: grants the single requester with the largest
-/// potential increase `τ_i` (the BUAU baseline of §5.2).
-pub fn buau(requests: &[UpdateRequest]) -> Vec<usize> {
+/// potential increase `τ_i` (the BUAU baseline of §5.2); on ties the *last*
+/// maximum under `total_cmp`, as `Iterator::max_by` keeps it.
+pub fn buau(requests: &[RequestView<'_>]) -> Vec<usize> {
     requests
         .iter()
         .enumerate()
@@ -26,63 +53,55 @@ pub fn buau(requests: &[UpdateRequest]) -> Vec<usize> {
         .unwrap_or_default()
 }
 
-/// Borrowed view of one request: everything the PUU conflict-graph greedy
-/// needs, with the affected-task set `B_i` referenced rather than owned.
-/// Lets the engine driver reuse cached per-user buffers across slots instead
-/// of materializing full [`UpdateRequest`]s every slot.
-#[derive(Debug, Clone, Copy)]
-pub struct RequestView<'a> {
-    /// The requesting user.
-    pub user: UserId,
-    /// `τ_i = gain / α_i`.
-    pub tau: f64,
-    /// `B_i`, sorted (see [`UpdateRequest::affected_tasks`]).
-    pub affected: &'a [TaskId],
-}
-
 /// Parallel User Update (Algorithm 3): sorts requesters by
-/// `δ_i = τ_i / |B_i|` non-ascending and greedily admits every requester
-/// whose affected task set `B_i` is disjoint from all already admitted ones.
-/// Requests with empty `B_i` (pure cost moves) never conflict and sort first.
+/// `δ_i = τ_i / |B_i|` non-ascending (ties broken by lower user id) and
+/// greedily admits every requester whose affected task set `B_i` is disjoint
+/// from all already admitted ones. Requests with empty `B_i` (pure cost
+/// moves) never conflict and sort first.
+///
+/// Disjoint from every admitted set is disjoint from their union, so one
+/// task-occupancy array decides admission in `O(|B_i|)` per candidate.
 ///
 /// Returns indices into `requests` of the admitted set `µ`.
-pub fn puu(requests: &[UpdateRequest]) -> Vec<usize> {
-    let views: Vec<RequestView<'_>> = requests
+pub fn puu(requests: &[RequestView<'_>]) -> Vec<usize> {
+    let task_count = requests
         .iter()
-        .map(|r| RequestView {
-            user: r.user,
-            tau: r.tau,
-            affected: &r.affected_tasks,
+        .flat_map(RequestView::affected)
+        .map(|t| t.index() + 1)
+        .max()
+        .unwrap_or(0);
+    // `occupied[k]`: task `k` lies in an admitted `B_i`. Before admission
+    // starts it doubles as scratch for counting `|B_i|` without sorting.
+    let mut occupied = vec![false; task_count];
+    let delta: Vec<f64> = requests
+        .iter()
+        .map(|r| {
+            let size = r
+                .affected()
+                .filter(|t| !std::mem::replace(&mut occupied[t.index()], true))
+                .count();
+            r.affected().for_each(|t| occupied[t.index()] = false);
+            if size == 0 {
+                f64::INFINITY
+            } else {
+                r.tau / size as f64
+            }
         })
         .collect();
-    puu_views(&views)
-}
-
-/// Allocation-free core of [`puu`], operating on borrowed request views.
-/// Identical ordering (δ non-ascending, ties broken by lower user id) and
-/// identical admitted sets to the owned variant.
-pub fn puu_views(requests: &[RequestView<'_>]) -> Vec<usize> {
-    let delta = |r: &RequestView<'_>| {
-        if r.affected.is_empty() {
-            f64::INFINITY
-        } else {
-            r.tau / r.affected.len() as f64
-        }
-    };
     let mut order: Vec<usize> = (0..requests.len()).collect();
     order.sort_by(|&a, &b| {
-        delta(&requests[b])
-            .total_cmp(&delta(&requests[a]))
+        delta[b]
+            .total_cmp(&delta[a])
             // Deterministic tie-break on user id.
             .then_with(|| requests[a].user.cmp(&requests[b].user))
     });
     let mut admitted: Vec<usize> = Vec::new();
     for idx in order {
         let candidate = &requests[idx];
-        if admitted
-            .iter()
-            .all(|&a| !tasks_intersect(requests[a].affected, candidate.affected))
-        {
+        if candidate.affected().all(|t| !occupied[t.index()]) {
+            candidate
+                .affected()
+                .for_each(|t| occupied[t.index()] = true);
             admitted.push(idx);
         }
     }
@@ -164,6 +183,10 @@ mod tests {
         }
     }
 
+    fn views(requests: &[UpdateRequest]) -> Vec<RequestView<'_>> {
+        requests.iter().map(UpdateRequest::view).collect()
+    }
+
     #[test]
     fn suu_selects_exactly_one() {
         let mut rng = StdRng::seed_from_u64(1);
@@ -171,13 +194,13 @@ mod tests {
         let sel = suu(&requests, &mut rng);
         assert_eq!(sel.len(), 1);
         assert!(sel[0] < 3);
-        assert!(suu(&[], &mut rng).is_empty());
+        assert!(suu::<UpdateRequest>(&[], &mut rng).is_empty());
     }
 
     #[test]
     fn buau_selects_max_tau() {
         let requests = vec![req(0, 1.0, &[0]), req(1, 5.0, &[1]), req(2, 3.0, &[2])];
-        assert_eq!(buau(&requests), vec![1]);
+        assert_eq!(buau(&views(&requests)), vec![1]);
         assert!(buau(&[]).is_empty());
     }
 
@@ -188,7 +211,7 @@ mod tests {
             req(1, 5.0, &[1]),    // δ = 5, conflicts with 0
             req(2, 2.0, &[2]),    // δ = 2, disjoint
         ];
-        let sel = puu(&requests);
+        let sel = puu(&views(&requests));
         // Order by δ: user1 (5), user0 (3, conflicts with 1), user2 (2).
         assert_eq!(sel, vec![1, 2]);
     }
@@ -196,7 +219,7 @@ mod tests {
     #[test]
     fn puu_empty_b_always_admitted() {
         let requests = vec![req(0, 0.1, &[]), req(1, 9.0, &[0]), req(2, 8.0, &[0])];
-        let sel = puu(&requests);
+        let sel = puu(&views(&requests));
         // Empty-B first (δ = ∞), then the better of the two conflicting ones.
         assert!(sel.contains(&0));
         assert_eq!(sel.len(), 2);
@@ -207,7 +230,7 @@ mod tests {
     fn puu_deterministic_tie_break() {
         let requests = vec![req(3, 2.0, &[0]), req(1, 2.0, &[1])];
         // Equal δ: lower user id first.
-        assert_eq!(puu(&requests), vec![1, 0]);
+        assert_eq!(puu(&views(&requests)), vec![1, 0]);
     }
 
     #[test]
@@ -228,7 +251,7 @@ mod tests {
             req(2, 2.0, &[2]),
             req(3, 1.5, &[0, 3]),
         ];
-        let admitted = puu(&requests);
+        let admitted = puu(&views(&requests));
         let (optimal, tau_hat) = optimal_selection(&requests);
         let tau: f64 = admitted.iter().map(|&i| requests[i].tau).sum();
         let bound = theorem3_bound(&requests, &admitted, &optimal).unwrap();
@@ -248,7 +271,7 @@ mod tests {
             req(3, 2.0, &[1, 4]),
             req(4, 1.0, &[5]),
         ];
-        let sel = puu(&requests);
+        let sel = puu(&views(&requests));
         for (i, &a) in sel.iter().enumerate() {
             for &b in &sel[i + 1..] {
                 assert!(!requests[a].conflicts_with(&requests[b]));

@@ -80,7 +80,8 @@ fn bench_puu_selection(c: &mut Criterion) {
     for n in [10usize, 50, 100] {
         let requests = make_requests(n, &mut rng);
         group.bench_with_input(BenchmarkId::new("puu", n), &requests, |b, reqs| {
-            b.iter(|| black_box(puu(reqs).len()))
+            let views: Vec<_> = reqs.iter().map(UpdateRequest::view).collect();
+            b.iter(|| black_box(puu(&views).len()))
         });
         group.bench_with_input(BenchmarkId::new("suu", n), &requests, |b, reqs| {
             let mut rng = StdRng::seed_from_u64(1);

@@ -61,10 +61,10 @@
 //!    unchanged best response: its profits depend only on its own choice and
 //!    the counts of tasks covered by *some* route of its recommended set,
 //!    and the inverted index covers exactly those tasks.
-//! 4. [`Engine::apply_batch`] over a conflict-free batch (pairwise-disjoint
-//!    affected task sets, the Theorem 3 / PUU guarantee) is bit-identical to
-//!    applying the moves sequentially via [`Engine::apply_move`] — including
-//!    the compensated-sum addition order and the emitted event stream.
+//! 4. [`Engine::apply_batch`] is an [`Engine::apply_move`] loop in grant
+//!    order, so its ϕ/total bits, dirty set and event stream are those of
+//!    the sequential moves; debug builds check its conflict-free contract
+//!    (pairwise-disjoint affected task sets, the Theorem 3 / PUU guarantee).
 
 use crate::error::GameError;
 use crate::game::Game;
@@ -74,14 +74,8 @@ use crate::response::{better_routes_in, BestResponse, ProfitView, EPSILON};
 use crate::route::Route;
 use crate::slab::SegmentedSlab;
 use crate::user::UserPrefs;
-use rayon::prelude::*;
 use std::borrow::Cow;
 use vcs_obs::{Event, Obs};
-
-/// Below this batch size [`Engine::apply_batch`] stays sequential: the
-/// per-move delta computation is a few hundred nanoseconds, so spawning
-/// worker threads only pays off for large conflict-free batches.
-const PAR_BATCH_MIN: usize = 256;
 
 /// Per-task share and potential prefix tables.
 ///
@@ -670,174 +664,21 @@ impl<'g> Engine<'g> {
         old_route
     }
 
-    /// Computes the `(ϕ, total profit)` deltas of switching `user` to
-    /// `new_route` **without mutating anything** — the read-only phase of
-    /// [`apply_batch`](Self::apply_batch). `None` for a no-op move.
-    ///
-    /// For a conflict-free batch the counts and `α`-sums this reads are
-    /// untouched by the batch's other moves, so the result is bit-identical
-    /// to what a sequential [`apply_move`](Self::apply_move) would compute
-    /// at its turn.
-    fn move_delta(&self, user: UserId, new_route: RouteId) -> Option<(RouteId, f64, f64)> {
-        let old_route = self.profile.choice(user);
-        if old_route == new_route {
-            return None;
-        }
-        let i = user.index();
-        let alpha = self.alpha[i];
-        let base = self.route_base[i] as usize;
-        let old = self.route_tasks.row(base + old_route.index());
-        let new = self.route_tasks.row(base + new_route.index());
-        let mut phi_delta = 0.0;
-        let mut profit_delta = 0.0;
-        for &task in old {
-            if !new.contains(&task) {
-                let n = self.profile.participants(task);
-                let a_sum = self.alpha_sum[task.index()];
-                phi_delta -= self.tables.share(task, n);
-                profit_delta += self.tables.share(task, n - 1) * (a_sum - alpha)
-                    - self.tables.share(task, n) * a_sum;
-            }
-        }
-        for &task in new {
-            if !old.contains(&task) {
-                let n = self.profile.participants(task);
-                let a_sum = self.alpha_sum[task.index()];
-                profit_delta += self.tables.share(task, n + 1) * (a_sum + alpha)
-                    - self.tables.share(task, n) * a_sum;
-                phi_delta += self.tables.share(task, n + 1);
-            }
-        }
-        phi_delta -= self.phi_route_cost.row(i)[new_route.index()]
-            - self.phi_route_cost.row(i)[old_route.index()];
-        profit_delta -=
-            self.route_cost.row(i)[new_route.index()] - self.route_cost.row(i)[old_route.index()];
-        Some((old_route, phi_delta, profit_delta))
-    }
-
-    /// Commits one precomputed move: count/`α`-sum bookkeeping, compensated
-    /// accumulation, dirty marking and the `MoveCommitted` event — the
-    /// ordered write phase of [`apply_batch`](Self::apply_batch).
-    fn commit_precomputed(
-        &mut self,
-        user: UserId,
-        new_route: RouteId,
-        old_route: RouteId,
-        phi_delta: f64,
-        profit_delta: f64,
-    ) {
-        let Self {
-            route_tasks,
-            route_base,
-            alpha: alpha_cache,
-            task_users,
-            profile,
-            alpha_sum,
-            phi,
-            total,
-            dirty_flag,
-            dirty,
-            active,
-            obs,
-            ..
-        } = self;
-        debug_assert!(active[user.index()], "moving a departed user");
-        let i = user.index();
-        let alpha = alpha_cache[i];
-        let base = route_base[i] as usize;
-        let route_tasks = &*route_tasks;
-        let task_users = &*task_users;
-        let old = route_tasks.row(base + old_route.index());
-        let new = route_tasks.row(base + new_route.index());
-        for &task in old {
-            if !new.contains(&task) {
-                let k = task.index();
-                alpha_sum[k] -= alpha;
-                for &other in task_users.row(k) {
-                    mark(dirty_flag, dirty, other);
-                }
-            }
-        }
-        for &task in new {
-            if !old.contains(&task) {
-                let k = task.index();
-                alpha_sum[k] += alpha;
-                for &other in task_users.row(k) {
-                    mark(dirty_flag, dirty, other);
-                }
-            }
-        }
-        phi.add(phi_delta);
-        total.add(profit_delta);
-        profile.apply_move_tasks(user, new_route, old, new);
-        mark(dirty_flag, dirty, user);
-        obs.emit(|| Event::MoveCommitted {
-            user: user.index() as u32,
-            from_route: old_route.index() as u32,
-            to_route: new_route.index() as u32,
-            phi_delta,
-            profit_delta: alpha * phi_delta,
-            phi: phi.value(),
-            total_profit: total.value(),
-        });
-    }
-
     /// Applies a **conflict-free** batch of moves (pairwise-disjoint affected
     /// task sets `B_i = L_{s_i} ∪ L_{s_i'}` — exactly what the PUU scheduler
-    /// of Alg. 3 / Theorem 3 grants), returning the number of effective
-    /// (non-no-op) moves.
-    ///
-    /// For large batches the per-move `(Δϕ, Δtotal)` deltas are computed in
-    /// parallel with rayon — legal because disjointness makes every delta
-    /// independent of the batch's other moves — and then committed
-    /// sequentially in batch order, so the compensated-sum additions, dirty
-    /// bookkeeping and emitted events are **bit-identical** to a sequential
-    /// [`apply_move`](Self::apply_move) loop. Small batches (or a pool pinned
-    /// to one thread) take the sequential path directly.
+    /// of Alg. 3 / Theorem 3 grants) in batch order, one
+    /// [`apply_move`](Self::apply_move) each, and returns the number of
+    /// effective (non-no-op) moves. The conflict-free contract is checked in
+    /// debug builds.
     pub fn apply_batch(&mut self, moves: &[(UserId, RouteId)]) -> usize {
-        self.apply_batch_with_threshold(moves, PAR_BATCH_MIN)
-    }
-
-    /// [`apply_batch`](Self::apply_batch) with an explicit parallelism
-    /// threshold (exposed for the determinism property tests and benchmarks;
-    /// `usize::MAX` forces sequential, `0` forces the parallel path whenever
-    /// more than one worker thread is available).
-    pub fn apply_batch_with_threshold(
-        &mut self,
-        moves: &[(UserId, RouteId)],
-        par_min: usize,
-    ) -> usize {
         debug_assert!(
             batch_conflict_free(self, moves),
             "apply_batch requires pairwise-disjoint affected task sets"
         );
-        if moves.len() < par_min.max(2) || rayon::current_num_threads() <= 1 {
-            let mut applied = 0;
-            for &(user, route) in moves {
-                if self.profile.choice(user) != route {
-                    applied += 1;
-                }
-                self.apply_move(user, route);
-            }
-            return applied;
-        }
-        let deltas: Vec<Option<(RouteId, f64, f64)>> = {
-            let this: &Self = self;
-            (0..moves.len())
-                .into_par_iter()
-                .map(|i| this.move_delta(moves[i].0, moves[i].1))
-                .collect()
-        };
-        let mut applied = 0;
-        for (i, delta) in deltas.into_iter().enumerate() {
-            let Some((old_route, phi_delta, profit_delta)) = delta else {
-                continue;
-            };
-            let (user, new_route) = moves[i];
-            self.commit_precomputed(user, new_route, old_route, phi_delta, profit_delta);
-            applied += 1;
-        }
-        applied
+        moves
+            .iter()
+            .filter(|&&(user, route)| self.apply_move(user, route) != route)
+            .count()
     }
 
     /// Whether `user` is currently on the platform (exists and has not left).
@@ -1552,23 +1393,18 @@ mod tests {
         for &(u, r) in &batch {
             sequential.apply_move(u, r);
         }
-        for force_parallel in [false, true] {
-            let mut batched = Engine::new(&g, Profile::all_first(&g));
-            let threshold = if force_parallel { 0 } else { usize::MAX };
-            assert_eq!(batched.apply_batch_with_threshold(&batch, threshold), 2);
-            assert_eq!(
-                batched.potential().to_bits(),
-                sequential.potential().to_bits(),
-                "ϕ diverged (parallel={force_parallel})"
-            );
-            assert_eq!(
-                batched.total_profit().to_bits(),
-                sequential.total_profit().to_bits(),
-                "total diverged (parallel={force_parallel})"
-            );
-            assert_eq!(batched.profile(), sequential.profile());
-            assert_eq!(batched.take_dirty(), sequential.clone().take_dirty());
-        }
+        let mut batched = Engine::new(&g, Profile::all_first(&g));
+        assert_eq!(batched.apply_batch(&batch), 2);
+        assert_eq!(
+            batched.potential().to_bits(),
+            sequential.potential().to_bits()
+        );
+        assert_eq!(
+            batched.total_profit().to_bits(),
+            sequential.total_profit().to_bits()
+        );
+        assert_eq!(batched.profile(), sequential.profile());
+        assert_eq!(batched.take_dirty(), sequential.take_dirty());
     }
 
     #[test]

@@ -3,13 +3,13 @@
 //! `Engine::apply_batch` must be **bit-identical** to applying the same
 //! moves one-by-one via `Engine::apply_move` — running ϕ and total profit to
 //! the bit, profiles and dirty sets exactly, and the emitted event stream
-//! move for move — on both the sequential and the forced-parallel path.
+//! move for move.
 
 use proptest::prelude::*;
 use std::sync::Arc;
 use vcs_core::ids::{RouteId, TaskId, UserId};
 use vcs_core::{Engine, Game, PlatformParams, Profile, Route, Task, User, UserPrefs};
-use vcs_obs::{Event, Obs, RingBufferSubscriber};
+use vcs_obs::{Obs, RingBufferSubscriber};
 
 /// A generated game plus a valid starting profile.
 #[derive(Debug, Clone)]
@@ -128,7 +128,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
     #[test]
-    fn parallel_batch_commit_is_bit_identical_to_sequential(
+    fn apply_batch_matches_an_apply_move_loop(
         instance in arb_instance(),
         batch_seed in any::<u64>(),
     ) {
@@ -146,22 +146,15 @@ proptest! {
             seq.apply_move(user, route);
         }
 
-        // Threshold usize::MAX: the batch API's sequential path.
-        // Threshold 0: the parallel delta phase whenever >1 worker exists.
-        for threshold in [usize::MAX, 0] {
-            let (mut batched, ring) = observed_engine(&game, &choices);
-            let applied = batched.apply_batch_with_threshold(&batch, threshold);
-            prop_assert_eq!(applied, applied_ref);
-            prop_assert_eq!(batched.potential().to_bits(), seq.potential().to_bits());
-            prop_assert_eq!(batched.total_profit().to_bits(), seq.total_profit().to_bits());
-            prop_assert_eq!(batched.profile(), seq.profile());
-            prop_assert_eq!(batched.take_dirty(), seq.clone().take_dirty());
-            // The event stream — including per-move ϕ/total snapshots taken
-            // mid-batch — must match move for move.
-            let expected: Vec<Event> = seq_ring.events();
-            let got: Vec<Event> = ring.events();
-            prop_assert_eq!(got, expected);
-        }
+        let (mut batched, ring) = observed_engine(&game, &choices);
+        prop_assert_eq!(batched.apply_batch(&batch), applied_ref);
+        prop_assert_eq!(batched.potential().to_bits(), seq.potential().to_bits());
+        prop_assert_eq!(batched.total_profit().to_bits(), seq.total_profit().to_bits());
+        prop_assert_eq!(batched.profile(), seq.profile());
+        prop_assert_eq!(batched.take_dirty(), seq.take_dirty());
+        // The event stream — including per-move ϕ/total snapshots taken
+        // mid-batch — must match move for move.
+        prop_assert_eq!(ring.events(), seq_ring.events());
     }
 
     #[test]
@@ -176,7 +169,7 @@ proptest! {
         let mut engine = Engine::new(&game, profile);
         engine.take_dirty();
         let phi = engine.potential();
-        prop_assert_eq!(engine.apply_batch_with_threshold(&noops, usize::MAX), 0);
+        prop_assert_eq!(engine.apply_batch(&noops), 0);
         prop_assert_eq!(engine.potential().to_bits(), phi.to_bits());
         prop_assert!(engine.take_dirty().is_empty());
     }

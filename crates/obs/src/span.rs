@@ -54,7 +54,7 @@ pub enum SpanKind {
     /// One churn epoch's warm re-convergence (apply batch → fixed point).
     EpochReconverge,
     /// One conflict-free PUU batch commit (`Engine::apply_batch`): the
-    /// parallel read-only delta phase plus the ordered sequential commit.
+    /// granted moves applied one after another in grant order.
     BatchApply,
     /// One shard's interior-convergence phase of a coordinator round: from
     /// the `RunInterior` fan-out to that shard's `InteriorDone`.

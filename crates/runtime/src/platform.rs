@@ -177,7 +177,7 @@ impl<'g> PlatformState<'g> {
     /// Records a freshly polled reply in the request cache, replacing the
     /// user's standing request.
     pub fn record_reply(&mut self, user: UserId, reply: &UserMsg) {
-        self.cached[user.index()] = Self::to_request(reply);
+        self.cached[user.index()] = self.to_request(reply);
     }
 
     /// This slot's request set: every standing request, in user-id order —
@@ -233,7 +233,9 @@ impl<'g> PlatformState<'g> {
         }
         let granted = match self.scheduler {
             SchedulerKind::Suu => suu(requests, &mut self.rng),
-            SchedulerKind::Puu => puu(requests),
+            SchedulerKind::Puu => {
+                puu(&requests.iter().map(UpdateRequest::view).collect::<Vec<_>>())
+            }
         };
         if !granted.is_empty() {
             self.slots += 1;
@@ -262,8 +264,10 @@ impl<'g> PlatformState<'g> {
     }
 
     /// Converts a decoded `UserMsg::Request` into the scheduler's request
-    /// type. Returns `None` for other message kinds.
-    pub fn to_request(msg: &UserMsg) -> Option<UpdateRequest> {
+    /// type. Returns `None` for other message kinds, and for a request naming
+    /// a task the game does not have: PUU sizes its task-occupancy array by
+    /// the largest task id it is given, which wire input must not choose.
+    pub fn to_request(&self, msg: &UserMsg) -> Option<UpdateRequest> {
         match msg {
             UserMsg::Request {
                 user,
@@ -271,13 +275,18 @@ impl<'g> PlatformState<'g> {
                 gain,
                 tau,
                 affected,
-            } => Some(UpdateRequest {
-                user: *user,
-                new_route: *new_route,
-                gain: *gain,
-                tau: *tau,
-                affected_tasks: affected.clone(),
-            }),
+            } if affected
+                .iter()
+                .all(|t| t.index() < self.game().task_count()) =>
+            {
+                Some(UpdateRequest {
+                    user: *user,
+                    new_route: *new_route,
+                    gain: *gain,
+                    tau: *tau,
+                    affected_tasks: affected.clone(),
+                })
+            }
             _ => None,
         }
     }
@@ -405,5 +414,25 @@ mod tests {
         let granted = platform.select(&[req]);
         assert_eq!(granted, vec![0]);
         assert_eq!(platform.slots, 1);
+    }
+
+    #[test]
+    fn request_naming_an_unknown_task_is_dropped() {
+        let game = fig1_instance();
+        let platform = PlatformState::new(
+            &game,
+            SchedulerKind::Puu,
+            0,
+            vec![RouteId(1), RouteId(0), RouteId(1)],
+        );
+        let request = |task: u32| UserMsg::Request {
+            user: UserId(0),
+            new_route: RouteId(0),
+            gain: 1.0,
+            tau: 2.0,
+            affected: vec![TaskId(0), TaskId(task)],
+        };
+        assert!(platform.to_request(&request(1)).is_some());
+        assert!(platform.to_request(&request(u32::MAX)).is_none());
     }
 }

@@ -20,7 +20,7 @@
 //!   in-process link, setup and teardown.
 
 use crate::driver::Driver;
-use crate::platform::{PlatformState, SchedulerKind};
+use crate::platform::SchedulerKind;
 use crate::protocol::{PlatformMsg, UserMsg};
 use crate::sync_runtime::{InProcess, RuntimeOutcome};
 use serde::{Deserialize, Serialize};
@@ -150,7 +150,7 @@ pub fn run_stale(
                 kind: ResponseKind::Best,
                 improving: matches!(reply, UserMsg::Request { .. }),
             });
-            if let Some(req) = PlatformState::to_request(&reply) {
+            if let Some(req) = platform.to_request(&reply) {
                 // Window rules: on stale information, only first moves over
                 // untouched tasks are eligible — their stale evaluation is
                 // exact, preserving the potential argument.
