@@ -50,7 +50,10 @@
 //! * [`ServeMetrics`] / [`SloMonitor`] — serving-mode request counters,
 //!   per-window sustained slots/sec + goodput gauges, and the windowed
 //!   p99-budget burn-rate monitor latching [`AlertKind::SloBurnRate`]
-//!   alerts, served together by [`MetricsExporter::bind_serve`].
+//!   alerts, served together by [`MetricsExporter::bind_serve`];
+//! * [`wire`] — the byte codec every binary wire format is built on:
+//!   big-endian [`wire::Reader`] / [`wire::Writer`], the hostile-length
+//!   guard and the trailing-bytes check, behind one [`wire::WireError`].
 //!
 //! This crate is a dependency *leaf* (only the vendored `parking_lot`), so
 //! `vcs-core` itself can depend on it; events therefore carry raw `u32`/
@@ -74,6 +77,7 @@ mod subscriber;
 pub mod telemetry;
 pub mod trace;
 mod watchdog;
+pub mod wire;
 
 pub use alert_sink::{AlertRoute, AlertSink, FileAlertSink, HttpAlertSink, StderrAlertSink};
 pub use causal::{

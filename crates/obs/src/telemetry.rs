@@ -21,6 +21,7 @@
 use crate::span::SpanKind;
 use crate::stats::{StatsSubscriber, SPAN_BUCKETS as STATS_SPAN_BUCKETS};
 use crate::watchdog::WatchdogSubscriber;
+use crate::wire::{Reader, WireError, Writer};
 
 /// Wire magic of a telemetry frame: "VCST" (VCS Telemetry).
 pub const TELEMETRY_MAGIC: [u8; 4] = *b"VCST";
@@ -155,6 +156,15 @@ impl std::fmt::Display for TelemetryError {
 
 impl std::error::Error for TelemetryError {}
 
+impl From<WireError> for TelemetryError {
+    fn from(e: WireError) -> Self {
+        match e {
+            WireError::Trailing { left, .. } => TelemetryError::TrailingBytes(left),
+            WireError::Truncated { .. } | WireError::BadLength { .. } => TelemetryError::Truncated,
+        }
+    }
+}
+
 /// One process's cumulative observability snapshot: stats counters,
 /// response lanes, per-kind span-latency buckets, transport/ARQ counters,
 /// latched watchdog alert counts, and the latest ϕ / total-profit gauges.
@@ -278,24 +288,24 @@ impl TelemetryFrame {
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(TELEMETRY_FRAME_LEN);
         out.extend_from_slice(&TELEMETRY_MAGIC);
-        out.push(TELEMETRY_VERSION);
-        out.extend_from_slice(&self.shard.to_be_bytes());
-        out.extend_from_slice(&self.incarnation.to_be_bytes());
-        out.extend_from_slice(&self.seq.to_be_bytes());
-        out.push(COUNTER_NAMES.len() as u8);
+        out.put_u8(TELEMETRY_VERSION);
+        out.put_u32(self.shard);
+        out.put_u32(self.incarnation);
+        out.put_u64(self.seq);
+        out.put_u8(COUNTER_NAMES.len() as u8);
         for i in 0..COUNTER_NAMES.len() {
-            out.extend_from_slice(&self.counters.get(i).copied().unwrap_or(0).to_be_bytes());
+            out.put_u64(self.counters.get(i).copied().unwrap_or(0));
         }
         for lane in self.lanes {
-            out.extend_from_slice(&lane.to_be_bytes());
+            out.put_u64(lane);
         }
-        out.push(SpanKind::ALL.len() as u8);
-        out.push(SPAN_BUCKETS as u8);
+        out.put_u8(SpanKind::ALL.len() as u8);
+        out.put_u8(SPAN_BUCKETS as u8);
         for i in 0..SpanKind::ALL.len() {
             let row = self.spans.get(i).copied().unwrap_or_else(SpanCells::zero);
-            out.extend_from_slice(&row.sum_nanos.to_be_bytes());
+            out.put_u64(row.sum_nanos);
             for cell in row.buckets {
-                out.extend_from_slice(&cell.to_be_bytes());
+                out.put_u64(cell);
             }
         }
         for v in [
@@ -307,13 +317,13 @@ impl TelemetryFrame {
             self.net.in_flight,
             self.net.srtt_ms,
         ] {
-            out.extend_from_slice(&v.to_be_bytes());
+            out.put_u64(v);
         }
         for v in self.watchdog {
-            out.extend_from_slice(&v.to_be_bytes());
+            out.put_u64(v);
         }
-        out.extend_from_slice(&self.phi_bits.to_be_bytes());
-        out.extend_from_slice(&self.profit_bits.to_be_bytes());
+        out.put_u64(self.phi_bits);
+        out.put_u64(self.profit_bits);
         debug_assert_eq!(out.len(), TELEMETRY_FRAME_LEN);
         out
     }
@@ -322,61 +332,59 @@ impl TelemetryFrame {
     /// [`TelemetryError`] — truncation, bad magic, unknown version, shape
     /// bytes that disagree with this build, or trailing bytes.
     pub fn decode(bytes: &[u8]) -> Result<TelemetryFrame, TelemetryError> {
-        let mut c = Cur { bytes, at: 0 };
-        let magic = c.arr4()?;
+        let mut r = Reader::new(bytes);
+        let magic = r.array()?;
         if magic != TELEMETRY_MAGIC {
             return Err(TelemetryError::BadMagic(magic));
         }
-        let version = c.u8()?;
+        let version = r.u8()?;
         if version != TELEMETRY_VERSION {
             return Err(TelemetryError::BadVersion(version));
         }
-        let shard = c.u32()?;
-        let incarnation = c.u32()?;
-        let seq = c.u64()?;
-        if c.u8()? as usize != COUNTER_NAMES.len() {
+        let shard = r.u32()?;
+        let incarnation = r.u32()?;
+        let seq = r.u64()?;
+        if r.u8()? as usize != COUNTER_NAMES.len() {
             return Err(TelemetryError::BadShape("counter count"));
         }
         let counters: Vec<u64> = (0..COUNTER_NAMES.len())
-            .map(|_| c.u64())
+            .map(|_| r.u64())
             .collect::<Result<_, _>>()?;
         let mut lanes = [0u64; 4];
         for lane in &mut lanes {
-            *lane = c.u64()?;
+            *lane = r.u64()?;
         }
-        if c.u8()? as usize != SpanKind::ALL.len() {
+        if r.u8()? as usize != SpanKind::ALL.len() {
             return Err(TelemetryError::BadShape("span-kind count"));
         }
-        if c.u8()? as usize != SPAN_BUCKETS {
+        if r.u8()? as usize != SPAN_BUCKETS {
             return Err(TelemetryError::BadShape("bucket count"));
         }
         let mut spans = Vec::with_capacity(SpanKind::ALL.len());
         for _ in 0..SpanKind::ALL.len() {
-            let sum_nanos = c.u64()?;
+            let sum_nanos = r.u64()?;
             let mut buckets = [0u64; SPAN_BUCKETS];
             for cell in &mut buckets {
-                *cell = c.u64()?;
+                *cell = r.u64()?;
             }
             spans.push(SpanCells { sum_nanos, buckets });
         }
         let net = NetStats {
-            retransmissions: c.u64()?,
-            drops: c.u64()?,
-            naks: c.u64()?,
-            dup_drops: c.u64()?,
-            rto_fires: c.u64()?,
-            in_flight: c.u64()?,
-            srtt_ms: c.u64()?,
+            retransmissions: r.u64()?,
+            drops: r.u64()?,
+            naks: r.u64()?,
+            dup_drops: r.u64()?,
+            rto_fires: r.u64()?,
+            in_flight: r.u64()?,
+            srtt_ms: r.u64()?,
         };
         let mut watchdog = [0u64; 3];
         for w in &mut watchdog {
-            *w = c.u64()?;
+            *w = r.u64()?;
         }
-        let phi_bits = c.u64()?;
-        let profit_bits = c.u64()?;
-        if c.at != bytes.len() {
-            return Err(TelemetryError::TrailingBytes(bytes.len() - c.at));
-        }
+        let phi_bits = r.u64()?;
+        let profit_bits = r.u64()?;
+        r.finish()?;
         Ok(TelemetryFrame {
             shard,
             incarnation,
@@ -389,42 +397,6 @@ impl TelemetryFrame {
             phi_bits,
             profit_bits,
         })
-    }
-}
-
-/// Bounds-checked big-endian reader over the frame bytes.
-struct Cur<'a> {
-    bytes: &'a [u8],
-    at: usize,
-}
-
-impl Cur<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], TelemetryError> {
-        let end = self.at.checked_add(n).ok_or(TelemetryError::Truncated)?;
-        let slice = self
-            .bytes
-            .get(self.at..end)
-            .ok_or(TelemetryError::Truncated)?;
-        self.at = end;
-        Ok(slice)
-    }
-
-    fn arr4(&mut self) -> Result<[u8; 4], TelemetryError> {
-        Ok(self.take(4)?.try_into().expect("4 bytes"))
-    }
-
-    fn u8(&mut self) -> Result<u8, TelemetryError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, TelemetryError> {
-        Ok(u32::from_be_bytes(self.arr4()?))
-    }
-
-    fn u64(&mut self) -> Result<u64, TelemetryError> {
-        Ok(u64::from_be_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
     }
 }
 

@@ -4,10 +4,10 @@
 //! [`Snapshot::capture`] materializes the engine (tombstoned departures are
 //! compacted away and user ids renumbered densely — see
 //! [`Engine::materialize`]); [`Snapshot::restore`] rebuilds an owned engine
-//! from it. The byte codec follows the `vcs-runtime` wire conventions
-//! (big-endian fixed-width fields, length prefixes guarded against hostile
-//! values) so a shard can be checkpointed to disk or shipped to another
-//! process. Route polyline geometry is display-only and is **not** carried
+//! from it. The byte codec is built on [`vcs_obs::wire`] (big-endian
+//! fixed-width fields, length prefixes guarded against hostile values,
+//! trailing bytes rejected) so a shard can be checkpointed to disk or
+//! shipped to another process. Route polyline geometry is display-only and is **not** carried
 //! in the snapshot; task locations are (they define coverage provenance).
 //!
 //! Decoding re-validates everything through [`Game::new`] and
@@ -15,11 +15,11 @@
 //! rejected with a [`SnapshotError`] instead of producing an inconsistent
 //! engine.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use vcs_core::ids::{RouteId, TaskId, UserId};
 use vcs_core::{
     Engine, Game, GameError, PlatformParams, Profile, Route, Task, User, UserPrefs, WeightBounds,
 };
+use vcs_obs::wire::{Reader, WireError, Writer};
 
 /// Format magic: `b"VCSO"`.
 const MAGIC: u32 = 0x5643_534F;
@@ -46,35 +46,14 @@ impl std::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-fn get_u8(buf: &mut Bytes) -> Result<u8, SnapshotError> {
-    if buf.remaining() < 1 {
-        return Err(SnapshotError::Codec("truncated u8"));
+impl From<WireError> for SnapshotError {
+    fn from(e: WireError) -> Self {
+        SnapshotError::Codec(match e {
+            WireError::Truncated { .. } => "truncated snapshot",
+            WireError::BadLength { .. } => "length prefix exceeds snapshot size",
+            WireError::Trailing { .. } => "trailing bytes after snapshot",
+        })
     }
-    Ok(buf.get_u8())
-}
-
-fn get_u32(buf: &mut Bytes) -> Result<u32, SnapshotError> {
-    if buf.remaining() < 4 {
-        return Err(SnapshotError::Codec("truncated u32"));
-    }
-    Ok(buf.get_u32())
-}
-
-fn get_f64(buf: &mut Bytes) -> Result<f64, SnapshotError> {
-    if buf.remaining() < 8 {
-        return Err(SnapshotError::Codec("truncated f64"));
-    }
-    Ok(buf.get_f64())
-}
-
-/// Reads a length prefix, rejecting values that cannot fit in the remaining
-/// bytes at `entry_size` bytes per entry (hostile-input guard).
-fn get_len(buf: &mut Bytes, entry_size: usize) -> Result<usize, SnapshotError> {
-    let len = get_u32(buf)? as usize;
-    if len.saturating_mul(entry_size) > buf.remaining() {
-        return Err(SnapshotError::Codec("length prefix exceeds snapshot size"));
-    }
-    Ok(len)
 }
 
 /// A checkpoint of one shard: the compacted game plus the current profile.
@@ -102,8 +81,8 @@ impl Snapshot {
     }
 
     /// Serializes the checkpoint to a byte frame.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::new();
+    pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::new();
         buf.put_u32(MAGIC);
         buf.put_u8(VERSION);
         let params = self.game.params();
@@ -112,7 +91,7 @@ impl Snapshot {
         let bounds = self.game.bounds();
         buf.put_f64(bounds.e_min);
         buf.put_f64(bounds.e_max);
-        buf.put_u32(u32::try_from(self.game.task_count()).expect("task count fits u32"));
+        buf.put_len(self.game.task_count());
         for task in self.game.tasks() {
             buf.put_f64(task.base_reward);
             buf.put_f64(task.increment);
@@ -125,81 +104,75 @@ impl Snapshot {
                 None => buf.put_u8(0),
             }
         }
-        buf.put_u32(u32::try_from(self.game.user_count()).expect("user count fits u32"));
+        buf.put_len(self.game.user_count());
         for (user, &choice) in self.game.users().iter().zip(&self.choices) {
             buf.put_f64(user.prefs.alpha);
             buf.put_f64(user.prefs.beta);
             buf.put_f64(user.prefs.gamma);
             buf.put_u32(choice.0);
-            buf.put_u32(u32::try_from(user.routes.len()).expect("route count fits u32"));
+            buf.put_len(user.routes.len());
             for route in &user.routes {
                 buf.put_f64(route.detour);
                 buf.put_f64(route.congestion);
-                buf.put_u32(u32::try_from(route.tasks.len()).expect("task list fits u32"));
+                buf.put_len(route.tasks.len());
                 for task in &route.tasks {
                     buf.put_u32(task.0);
                 }
             }
         }
-        buf.freeze()
+        buf
     }
 
     /// Deserializes and fully re-validates a checkpoint frame.
-    pub fn decode(mut frame: Bytes) -> Result<Self, SnapshotError> {
-        if get_u32(&mut frame)? != MAGIC {
+    pub fn decode(frame: &[u8]) -> Result<Self, SnapshotError> {
+        let mut r = Reader::new(frame);
+        if r.u32()? != MAGIC {
             return Err(SnapshotError::Codec("bad snapshot magic"));
         }
-        if get_u8(&mut frame)? != VERSION {
+        if r.u8()? != VERSION {
             return Err(SnapshotError::Codec("unsupported snapshot version"));
         }
-        let params = PlatformParams::new(get_f64(&mut frame)?, get_f64(&mut frame)?);
+        let params = PlatformParams::new(r.f64()?, r.f64()?);
         let bounds = WeightBounds {
-            e_min: get_f64(&mut frame)?,
-            e_max: get_f64(&mut frame)?,
+            e_min: r.f64()?,
+            e_max: r.f64()?,
         };
         // Minimum on-wire sizes guard each length prefix: 17 bytes per task
         // (a + μ + location flag), 36 per user (prefs + choice + route
         // count), 20 per route (costs + task count), 4 per task id.
-        let n_tasks = get_len(&mut frame, 17)?;
+        let n_tasks = r.len(17)?;
         let mut tasks = Vec::with_capacity(n_tasks);
         for k in 0..n_tasks {
-            let base = get_f64(&mut frame)?;
-            let mu = get_f64(&mut frame)?;
+            let base = r.f64()?;
+            let mu = r.f64()?;
             let id = TaskId::from_index(k);
-            tasks.push(match get_u8(&mut frame)? {
+            tasks.push(match r.u8()? {
                 0 => Task::new(id, base, mu),
-                _ => Task::at(id, base, mu, (get_f64(&mut frame)?, get_f64(&mut frame)?)),
+                _ => Task::at(id, base, mu, (r.f64()?, r.f64()?)),
             });
         }
-        let n_users = get_len(&mut frame, 36)?;
+        let n_users = r.len(36)?;
         let mut users = Vec::with_capacity(n_users);
         let mut choices = Vec::with_capacity(n_users);
         for i in 0..n_users {
-            let prefs = UserPrefs::new(
-                get_f64(&mut frame)?,
-                get_f64(&mut frame)?,
-                get_f64(&mut frame)?,
-            );
-            choices.push(RouteId(get_u32(&mut frame)?));
-            let n_routes = get_len(&mut frame, 20)?;
+            let prefs = UserPrefs::new(r.f64()?, r.f64()?, r.f64()?);
+            choices.push(RouteId(r.u32()?));
+            let n_routes = r.len(20)?;
             let mut routes = Vec::with_capacity(n_routes);
-            for r in 0..n_routes {
-                let detour = get_f64(&mut frame)?;
-                let congestion = get_f64(&mut frame)?;
-                let n_route_tasks = get_len(&mut frame, 4)?;
+            for j in 0..n_routes {
+                let detour = r.f64()?;
+                let congestion = r.f64()?;
+                let n_route_tasks = r.len(4)?;
                 let mut route_tasks = Vec::with_capacity(n_route_tasks);
                 for _ in 0..n_route_tasks {
-                    route_tasks.push(TaskId(get_u32(&mut frame)?));
+                    route_tasks.push(TaskId(r.u32()?));
                 }
-                routes.push(Route::new(
-                    RouteId::from_index(r),
-                    route_tasks,
-                    detour,
-                    congestion,
-                ));
+                let id = RouteId::from_index(j);
+                routes.push(Route::new(id, route_tasks, detour, congestion));
             }
             users.push(User::new(UserId::from_index(i), prefs, routes));
         }
+        r.finish()?;
         let game = Game::new(tasks, users, params, bounds).map_err(SnapshotError::Invalid)?;
         game.validate_profile(&choices)
             .map_err(SnapshotError::Invalid)?;
@@ -224,7 +197,7 @@ mod tests {
     fn snapshot_roundtrips_through_bytes() {
         let engine = fig1_engine();
         let snap = Snapshot::capture(&engine);
-        let decoded = Snapshot::decode(snap.encode()).expect("roundtrip decodes");
+        let decoded = Snapshot::decode(&snap.encode()).expect("roundtrip decodes");
         assert_eq!(snap, decoded);
         let restored = decoded.restore();
         assert_eq!(restored.potential_fresh(), engine.potential_fresh());
@@ -249,7 +222,7 @@ mod tests {
         apply_churn(&mut engine, &ChurnEvent::Leave { user: UserId(1) }).expect("valid leave");
         let snap = Snapshot::capture(&engine);
         assert_eq!(snap.game.user_count(), 3, "tombstone compacted away");
-        let restored = Snapshot::decode(snap.encode()).expect("decodes").restore();
+        let restored = Snapshot::decode(&snap.encode()).expect("decodes").restore();
         let diff = (restored.potential_fresh() - engine.potential_fresh()).abs();
         assert!(
             diff <= 1e-12,
@@ -277,7 +250,7 @@ mod tests {
             .expect("valid join");
         engine.remove_user(UserId(1)).expect("valid leave");
         engine.apply_move(joined, RouteId(1));
-        let restored = Snapshot::decode(Snapshot::capture(&engine).encode())
+        let restored = Snapshot::decode(&Snapshot::capture(&engine).encode())
             .expect("decodes")
             .restore();
         // The restored engine rebuilds its slabs from the compacted game;
@@ -316,22 +289,29 @@ mod tests {
         let snap = Snapshot::capture(&fig1_engine());
         let frame = snap.encode();
         for cut in [0, 3, 4, 5, 20, frame.len() - 1] {
-            let err = Snapshot::decode(frame.slice(0..cut)).expect_err("truncation detected");
+            let err = Snapshot::decode(&frame[0..cut]).expect_err("truncation detected");
             assert!(matches!(err, SnapshotError::Codec(_)), "cut {cut}: {err}");
         }
         // Flip the magic.
-        let mut bad = frame.as_ref().to_vec();
+        let mut bad = frame.clone();
         bad[0] ^= 0xFF;
         assert_eq!(
-            Snapshot::decode(Bytes::from(bad)),
+            Snapshot::decode(&bad),
             Err(SnapshotError::Codec("bad snapshot magic"))
         );
         // Hostile task-count prefix.
-        let mut hostile = frame.as_ref().to_vec();
+        let mut hostile = frame.clone();
         hostile[37..41].copy_from_slice(&u32::MAX.to_be_bytes());
         assert_eq!(
-            Snapshot::decode(Bytes::from(hostile)),
+            Snapshot::decode(&hostile),
             Err(SnapshotError::Codec("length prefix exceeds snapshot size"))
+        );
+        // A valid snapshot plus one byte.
+        let mut long = frame.clone();
+        long.push(0);
+        assert_eq!(
+            Snapshot::decode(&long),
+            Err(SnapshotError::Codec("trailing bytes after snapshot"))
         );
     }
 
@@ -342,7 +322,7 @@ mod tests {
         // well-formed but validation must refuse them.
         snap.choices[0] = RouteId(99);
         assert!(matches!(
-            Snapshot::decode(snap.encode()),
+            Snapshot::decode(&snap.encode()),
             Err(SnapshotError::Invalid(GameError::InvalidProfile { .. }))
         ));
     }

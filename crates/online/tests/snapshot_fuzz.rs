@@ -3,7 +3,6 @@
 //! never be accepted silently — every `Ok` has passed full `Game::new` +
 //! `validate_profile` re-validation, so it is restorable by construction.
 
-use bytes::Bytes;
 use proptest::prelude::*;
 use vcs_core::ids::{RouteId, TaskId, UserId};
 use vcs_core::{Engine, Game, PlatformParams, Profile, Route, Task, User, UserPrefs};
@@ -78,7 +77,7 @@ fn random_engine(seed: u64) -> Engine<'static> {
 
 /// Decodes a (possibly mangled) frame and checks the codec's contract: no
 /// panic ever, and any `Ok` is a fully re-validated, restorable snapshot.
-fn assert_no_silent_acceptance(frame: Bytes) -> Result<(), TestCaseError> {
+fn assert_no_silent_acceptance(frame: &[u8]) -> Result<(), TestCaseError> {
     if let Ok(decoded) = Snapshot::decode(frame) {
         prop_assert!(
             decoded.game.validate_profile(&decoded.choices).is_ok(),
@@ -102,12 +101,12 @@ proptest! {
     ) {
         let engine = random_engine(seed);
         let frame = Snapshot::capture(&engine).encode();
-        let mut bytes = frame.as_ref().to_vec();
+        let mut bytes = frame.to_vec();
         for (index, bit) in flips {
             let at = index % bytes.len();
             bytes[at] ^= 1 << bit;
         }
-        assert_no_silent_acceptance(Bytes::from(bytes))?;
+        assert_no_silent_acceptance(&bytes)?;
     }
 
     /// Truncation at an arbitrary cut point: a strict prefix is always
@@ -121,7 +120,7 @@ proptest! {
         let frame = Snapshot::capture(&engine).encode();
         let cut = cut % frame.len(); // strict prefix: 0..len-1
         prop_assert!(
-            Snapshot::decode(frame.slice(0..cut)).is_err(),
+            Snapshot::decode(&frame[0..cut]).is_err(),
             "a {cut}-byte prefix of a {}-byte frame decoded", frame.len()
         );
     }
@@ -136,14 +135,14 @@ proptest! {
     ) {
         let engine = random_engine(seed);
         let frame = Snapshot::capture(&engine).encode();
-        let mut bytes = frame.as_ref().to_vec();
+        let mut bytes = frame.to_vec();
         for (index, bit) in flips {
             let at = index % bytes.len();
             bytes[at] ^= 1 << bit;
         }
         let cut = cut % (bytes.len() + 1); // 0..=len: full frame allowed
         bytes.truncate(cut);
-        assert_no_silent_acceptance(Bytes::from(bytes))?;
+        assert_no_silent_acceptance(&bytes)?;
     }
 
     /// Pure garbage bytes (with and without a valid-looking header) never
@@ -157,6 +156,6 @@ proptest! {
             bytes[0..4].copy_from_slice(&0x5643_534Fu32.to_be_bytes());
             bytes[4] = 1;
         }
-        assert_no_silent_acceptance(Bytes::from(bytes))?;
+        assert_no_silent_acceptance(&bytes)?;
     }
 }

@@ -331,7 +331,7 @@ impl<'g, 'o, L: Link> Driver<'g, 'o, L> {
             };
             self.wire.frame(sender as u32, PLATFORM_SENDER, frame.len());
             let msg = obs.time(SpanKind::FrameDecode, || {
-                UserMsg::decode(frame).expect("self-encoded frame decodes")
+                UserMsg::decode(&frame).expect("self-encoded frame decodes")
             });
             let joined = self
                 .platform

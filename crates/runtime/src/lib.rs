@@ -5,14 +5,14 @@
 //! crate implements that split literally:
 //!
 //! * [`protocol`] — the platform↔user message set with a compact binary
-//!   codec over [`bytes`] frames;
+//!   codec on [`vcs_obs::wire`];
 //! * [`agent::UserAgent`] — the user-side state machine (local profit
 //!   evaluation, best-route-set computation, request/grant handling);
 //! * [`platform::PlatformState`] — the platform-side bookkeeping and the
 //!   SUU/PUU scheduling step;
 //! * [`sync_runtime::run_sync`] — single-thread reference execution of the
 //!   protocol (frames still pass through the codec);
-//! * [`threaded::run_threaded`] — one OS thread per agent over crossbeam
+//! * [`threaded::run_threaded`] — one OS thread per agent over std mpsc
 //!   channels, slot-synchronous and bit-identical to the sync runtime;
 //! * [`resilience`] — the protocol under message loss (stop-and-wait
 //!   retransmission, provably outcome-preserving) and under stale

@@ -11,12 +11,13 @@
 //!   no-request notices, and the applied decision (Alg. 1 line 15).
 //!
 //! Messages are encoded into length-free, tag-prefixed binary frames with
-//! [`bytes`], so the threaded runtime ships real byte buffers between
-//! threads — the same frames a networked deployment would exchange.
+//! the [`vcs_obs::wire`] codec, so the threaded runtime ships real byte
+//! buffers between threads — the same frames a networked deployment would
+//! exchange.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use vcs_core::ids::{RouteId, TaskId, UserId};
 use vcs_core::{ChurnEvent, Route, UserPrefs, UserSpec};
+use vcs_obs::wire::{Reader, WireError, Writer};
 
 /// Task metadata a user needs to evaluate rewards locally: `(k, a_k, μ_k)`.
 pub type TaskInfo = (TaskId, f64, f64);
@@ -138,65 +139,41 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-fn put_task_counts(buf: &mut BytesMut, counts: &[(TaskId, u32)]) {
-    buf.put_u32(u32::try_from(counts.len()).expect("count list fits u32"));
+impl From<WireError> for CodecError {
+    fn from(e: WireError) -> Self {
+        CodecError(match e {
+            WireError::Truncated { .. } => "truncated frame",
+            WireError::BadLength { .. } => "length prefix exceeds frame size",
+            WireError::Trailing { .. } => "trailing bytes",
+        })
+    }
+}
+
+fn put_task_counts(buf: &mut Vec<u8>, counts: &[(TaskId, u32)]) {
+    buf.put_len(counts.len());
     for &(task, n) in counts {
         buf.put_u32(task.0);
         buf.put_u32(n);
     }
 }
 
-/// Reads a length prefix and validates it against the bytes actually present
-/// (`entry_size` bytes per entry), so hostile frames cannot trigger huge
-/// allocations before the truncation is detected.
-fn get_len(buf: &mut Bytes, entry_size: usize) -> Result<usize, CodecError> {
-    let len = get_u32(buf)? as usize;
-    if len.saturating_mul(entry_size) > buf.remaining() {
-        return Err(CodecError("length prefix exceeds frame size"));
-    }
-    Ok(len)
-}
-
-fn get_task_counts(buf: &mut Bytes) -> Result<Vec<(TaskId, u32)>, CodecError> {
-    let len = get_len(buf, 8)?;
+fn get_task_counts(r: &mut Reader<'_>) -> Result<Vec<(TaskId, u32)>, WireError> {
+    let len = r.len(8)?;
     let mut out = Vec::with_capacity(len);
     for _ in 0..len {
-        let task = TaskId(get_u32(buf)?);
-        let n = get_u32(buf)?;
-        out.push((task, n));
+        out.push((TaskId(r.u32()?), r.u32()?));
     }
     Ok(out)
 }
 
-fn get_u8(buf: &mut Bytes) -> Result<u8, CodecError> {
-    if buf.remaining() < 1 {
-        return Err(CodecError("truncated u8"));
-    }
-    Ok(buf.get_u8())
-}
-
-fn get_u32(buf: &mut Bytes) -> Result<u32, CodecError> {
-    if buf.remaining() < 4 {
-        return Err(CodecError("truncated u32"));
-    }
-    Ok(buf.get_u32())
-}
-
-fn get_f64(buf: &mut Bytes) -> Result<f64, CodecError> {
-    if buf.remaining() < 8 {
-        return Err(CodecError("truncated f64"));
-    }
-    Ok(buf.get_f64())
-}
-
 impl PlatformMsg {
     /// Encodes into a binary frame.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::new();
+    pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::new();
         match self {
             PlatformMsg::Init { tasks, counts } => {
                 buf.put_u8(TAG_INIT);
-                buf.put_u32(u32::try_from(tasks.len()).expect("task list fits u32"));
+                buf.put_len(tasks.len());
                 for &(task, a, mu) in tasks {
                     buf.put_u32(task.0);
                     buf.put_f64(a);
@@ -212,43 +189,39 @@ impl PlatformMsg {
             PlatformMsg::Deny => buf.put_u8(TAG_DENY),
             PlatformMsg::Terminate => buf.put_u8(TAG_TERMINATE),
         }
-        buf.freeze()
+        buf
     }
 
     /// Decodes a binary frame.
-    pub fn decode(mut frame: Bytes) -> Result<Self, CodecError> {
-        let msg = match get_u8(&mut frame)? {
+    pub fn decode(frame: &[u8]) -> Result<Self, CodecError> {
+        let mut r = Reader::new(frame);
+        let msg = match r.u8()? {
             TAG_INIT => {
-                let n = get_len(&mut frame, 20)?;
+                let n = r.len(20)?;
                 let mut tasks = Vec::with_capacity(n);
                 for _ in 0..n {
-                    let task = TaskId(get_u32(&mut frame)?);
-                    let a = get_f64(&mut frame)?;
-                    let mu = get_f64(&mut frame)?;
-                    tasks.push((task, a, mu));
+                    tasks.push((TaskId(r.u32()?), r.f64()?, r.f64()?));
                 }
-                let counts = get_task_counts(&mut frame)?;
+                let counts = get_task_counts(&mut r)?;
                 PlatformMsg::Init { tasks, counts }
             }
             TAG_COUNTS => PlatformMsg::Counts {
-                counts: get_task_counts(&mut frame)?,
+                counts: get_task_counts(&mut r)?,
             },
             TAG_GRANT => PlatformMsg::Grant,
             TAG_DENY => PlatformMsg::Deny,
             TAG_TERMINATE => PlatformMsg::Terminate,
             _ => return Err(CodecError("unknown platform tag")),
         };
-        if frame.has_remaining() {
-            return Err(CodecError("trailing bytes"));
-        }
+        r.finish()?;
         Ok(msg)
     }
 }
 
 impl UserMsg {
     /// Encodes into a binary frame.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::new();
+    pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::new();
         match self {
             UserMsg::Initial { user, route } => {
                 buf.put_u8(TAG_INITIAL);
@@ -267,7 +240,7 @@ impl UserMsg {
                 buf.put_u32(new_route.0);
                 buf.put_f64(*gain);
                 buf.put_f64(*tau);
-                buf.put_u32(u32::try_from(affected.len()).expect("task list fits u32"));
+                buf.put_len(affected.len());
                 for t in affected {
                     buf.put_u32(t.0);
                 }
@@ -287,9 +260,9 @@ impl UserMsg {
                 buf.put_f64(spec.prefs.beta);
                 buf.put_f64(spec.prefs.gamma);
                 buf.put_u32(initial.0);
-                buf.put_u32(u32::try_from(spec.routes.len()).expect("route list fits u32"));
+                buf.put_len(spec.routes.len());
                 for route in &spec.routes {
-                    buf.put_u32(u32::try_from(route.tasks.len()).expect("task list fits u32"));
+                    buf.put_len(route.tasks.len());
                     for t in &route.tasks {
                         buf.put_u32(t.0);
                     }
@@ -302,25 +275,26 @@ impl UserMsg {
                 buf.put_u32(user.0);
             }
         }
-        buf.freeze()
+        buf
     }
 
     /// Decodes a binary frame.
-    pub fn decode(mut frame: Bytes) -> Result<Self, CodecError> {
-        let msg = match get_u8(&mut frame)? {
+    pub fn decode(frame: &[u8]) -> Result<Self, CodecError> {
+        let mut r = Reader::new(frame);
+        let msg = match r.u8()? {
             TAG_INITIAL => UserMsg::Initial {
-                user: UserId(get_u32(&mut frame)?),
-                route: RouteId(get_u32(&mut frame)?),
+                user: UserId(r.u32()?),
+                route: RouteId(r.u32()?),
             },
             TAG_REQUEST => {
-                let user = UserId(get_u32(&mut frame)?);
-                let new_route = RouteId(get_u32(&mut frame)?);
-                let gain = get_f64(&mut frame)?;
-                let tau = get_f64(&mut frame)?;
-                let n = get_len(&mut frame, 4)?;
+                let user = UserId(r.u32()?);
+                let new_route = RouteId(r.u32()?);
+                let gain = r.f64()?;
+                let tau = r.f64()?;
+                let n = r.len(4)?;
                 let mut affected = Vec::with_capacity(n);
                 for _ in 0..n {
-                    affected.push(TaskId(get_u32(&mut frame)?));
+                    affected.push(TaskId(r.u32()?));
                 }
                 UserMsg::Request {
                     user,
@@ -331,48 +305,38 @@ impl UserMsg {
                 }
             }
             TAG_NO_REQUEST => UserMsg::NoRequest {
-                user: UserId(get_u32(&mut frame)?),
+                user: UserId(r.u32()?),
             },
             TAG_UPDATED => UserMsg::Updated {
-                user: UserId(get_u32(&mut frame)?),
-                route: RouteId(get_u32(&mut frame)?),
+                user: UserId(r.u32()?),
+                route: RouteId(r.u32()?),
             },
             TAG_JOIN => {
-                let alpha = get_f64(&mut frame)?;
-                let beta = get_f64(&mut frame)?;
-                let gamma = get_f64(&mut frame)?;
-                let initial = RouteId(get_u32(&mut frame)?);
+                let prefs = UserPrefs::new(r.f64()?, r.f64()?, r.f64()?);
+                let initial = RouteId(r.u32()?);
                 // Each route is at least a task count + detour + congestion.
-                let n_routes = get_len(&mut frame, 20)?;
+                let n_routes = r.len(20)?;
                 let mut routes = Vec::with_capacity(n_routes);
-                for r in 0..n_routes {
-                    let n_tasks = get_len(&mut frame, 4)?;
+                for i in 0..n_routes {
+                    let n_tasks = r.len(4)?;
                     let mut tasks = Vec::with_capacity(n_tasks);
                     for _ in 0..n_tasks {
-                        tasks.push(TaskId(get_u32(&mut frame)?));
+                        tasks.push(TaskId(r.u32()?));
                     }
-                    let detour = get_f64(&mut frame)?;
-                    let congestion = get_f64(&mut frame)?;
-                    routes.push(Route::new(
-                        RouteId::from_index(r),
-                        tasks,
-                        detour,
-                        congestion,
-                    ));
+                    let id = RouteId::from_index(i);
+                    routes.push(Route::new(id, tasks, r.f64()?, r.f64()?));
                 }
                 UserMsg::Join {
-                    spec: UserSpec::new(UserPrefs::new(alpha, beta, gamma), routes),
+                    spec: UserSpec::new(prefs, routes),
                     initial,
                 }
             }
             TAG_LEAVE => UserMsg::Leave {
-                user: UserId(get_u32(&mut frame)?),
+                user: UserId(r.u32()?),
             },
             _ => return Err(CodecError("unknown user tag")),
         };
-        if frame.has_remaining() {
-            return Err(CodecError("trailing bytes"));
-        }
+        r.finish()?;
         Ok(msg)
     }
 }
@@ -398,7 +362,7 @@ mod tests {
         ];
         for msg in msgs {
             let frame = msg.encode();
-            assert_eq!(PlatformMsg::decode(frame).unwrap(), msg);
+            assert_eq!(PlatformMsg::decode(&frame).unwrap(), msg);
         }
     }
 
@@ -439,7 +403,7 @@ mod tests {
         ];
         for msg in msgs {
             let frame = msg.encode();
-            assert_eq!(UserMsg::decode(frame).unwrap(), msg);
+            assert_eq!(UserMsg::decode(&frame).unwrap(), msg);
         }
     }
 
@@ -450,15 +414,15 @@ mod tests {
             route: RouteId(2),
         }
         .encode();
-        let cut = frame.slice(0..frame.len() - 1);
+        let cut = &frame[0..frame.len() - 1];
         assert!(UserMsg::decode(cut).is_err());
     }
 
     #[test]
     fn unknown_tag_rejected() {
-        let frame = Bytes::from_static(&[0xFF]);
-        assert!(PlatformMsg::decode(frame.clone()).is_err());
-        assert!(UserMsg::decode(frame).is_err());
+        let frame = [0xFF];
+        assert!(PlatformMsg::decode(&frame).is_err());
+        assert!(UserMsg::decode(&frame).is_err());
     }
 
     #[test]
@@ -471,7 +435,7 @@ mod tests {
             initial: RouteId(0),
         };
         let msg = UserMsg::from_churn(&event);
-        let decoded = UserMsg::decode(msg.encode()).unwrap();
+        let decoded = UserMsg::decode(&msg.encode()).unwrap();
         assert_eq!(decoded, msg);
         let leave = ChurnEvent::Leave { user: UserId(3) };
         assert_eq!(
@@ -491,11 +455,11 @@ mod tests {
         }
         .encode();
         for cut in [1, 8, 20, frame.len() - 1] {
-            assert!(UserMsg::decode(frame.slice(0..cut)).is_err(), "cut {cut}");
+            assert!(UserMsg::decode(&frame[0..cut]).is_err(), "cut {cut}");
         }
         // A hostile length prefix larger than the frame is caught before any
         // allocation.
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         buf.put_u8(20);
         buf.put_f64(0.5);
         buf.put_f64(0.5);
@@ -503,19 +467,16 @@ mod tests {
         buf.put_u32(0);
         buf.put_u32(u32::MAX); // absurd route count
         assert_eq!(
-            UserMsg::decode(buf.freeze()),
+            UserMsg::decode(&buf),
             Err(CodecError("length prefix exceeds frame size"))
         );
     }
 
     #[test]
     fn trailing_bytes_rejected() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         buf.put_u8(3); // Grant
         buf.put_u8(0); // junk
-        assert_eq!(
-            PlatformMsg::decode(buf.freeze()),
-            Err(CodecError("trailing bytes"))
-        );
+        assert_eq!(PlatformMsg::decode(&buf), Err(CodecError("trailing bytes")));
     }
 }

@@ -143,7 +143,7 @@ pub fn run_stale(
                 let agent = link.agents[user.index()].as_mut().expect("live agent");
                 let frame = agent.compute_request().encode();
                 wire.frame(user.index() as u32, PLATFORM_SENDER, frame.len());
-                UserMsg::decode(frame).expect("self-encoded frame decodes")
+                UserMsg::decode(&frame).expect("self-encoded frame decodes")
             };
             obs.emit(|| Event::ResponseEvaluated {
                 user: user.index() as u32,

@@ -21,7 +21,7 @@
 //! trailing bytes all fail with [`CodecError`], never a panic.
 
 use crate::protocol::CodecError;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use vcs_obs::wire::{Reader, Writer};
 
 /// Join target meaning "any lane" (server picks round-robin).
 pub const ANY_SHARD: u32 = u32::MAX;
@@ -152,45 +152,10 @@ const REP_STATS: u8 = 4;
 const REP_SHUTTING_DOWN: u8 = 5;
 const REP_REJECTED: u8 = 6;
 
-fn get_u8(buf: &mut Bytes) -> Result<u8, CodecError> {
-    if buf.remaining() < 1 {
-        return Err(CodecError("truncated u8"));
-    }
-    Ok(buf.get_u8())
-}
-
-fn get_u32(buf: &mut Bytes) -> Result<u32, CodecError> {
-    if buf.remaining() < 4 {
-        return Err(CodecError("truncated u32"));
-    }
-    Ok(buf.get_u32())
-}
-
-fn get_u64(buf: &mut Bytes) -> Result<u64, CodecError> {
-    if buf.remaining() < 8 {
-        return Err(CodecError("truncated u64"));
-    }
-    Ok(buf.get_u64())
-}
-
-fn get_f64(buf: &mut Bytes) -> Result<f64, CodecError> {
-    if buf.remaining() < 8 {
-        return Err(CodecError("truncated f64"));
-    }
-    Ok(buf.get_f64())
-}
-
-fn finish<T>(frame: Bytes, msg: T) -> Result<T, CodecError> {
-    if frame.has_remaining() {
-        return Err(CodecError("trailing bytes"));
-    }
-    Ok(msg)
-}
-
 impl ServeRequest {
     /// Encodes into a binary frame payload.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(18);
+    pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(18);
         buf.put_u64(self.id);
         match self.body {
             ServeRequestBody::Join { shard } => {
@@ -208,34 +173,30 @@ impl ServeRequest {
             ServeRequestBody::Query => buf.put_u8(REQ_QUERY),
             ServeRequestBody::Shutdown => buf.put_u8(REQ_SHUTDOWN),
         }
-        buf.freeze()
+        buf
     }
 
     /// Decodes a binary frame payload.
-    pub fn decode(mut frame: Bytes) -> Result<Self, CodecError> {
-        let id = get_u64(&mut frame)?;
-        let body = match get_u8(&mut frame)? {
-            REQ_JOIN => ServeRequestBody::Join {
-                shard: get_u32(&mut frame)?,
-            },
-            REQ_LEAVE => ServeRequestBody::Leave {
-                user: get_u64(&mut frame)?,
-            },
-            REQ_BEST_RESPOND => ServeRequestBody::BestRespond {
-                user: get_u64(&mut frame)?,
-            },
+    pub fn decode(frame: Vec<u8>) -> Result<Self, CodecError> {
+        let mut r = Reader::new(&frame);
+        let id = r.u64()?;
+        let body = match r.u8()? {
+            REQ_JOIN => ServeRequestBody::Join { shard: r.u32()? },
+            REQ_LEAVE => ServeRequestBody::Leave { user: r.u64()? },
+            REQ_BEST_RESPOND => ServeRequestBody::BestRespond { user: r.u64()? },
             REQ_QUERY => ServeRequestBody::Query,
             REQ_SHUTDOWN => ServeRequestBody::Shutdown,
             _ => return Err(CodecError("unknown serve request tag")),
         };
-        finish(frame, ServeRequest { id, body })
+        r.finish()?;
+        Ok(ServeRequest { id, body })
     }
 }
 
 impl ServeReply {
     /// Encodes into a binary frame payload.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(33);
+    pub fn encode(&self) -> Vec<u8> {
+        let mut buf = Vec::with_capacity(33);
         buf.put_u64(self.id);
         match self.body {
             ServeReplyBody::Joined { user, slots } => {
@@ -263,39 +224,39 @@ impl ServeReply {
                 buf.put_u8(reason.code());
             }
         }
-        buf.freeze()
+        buf
     }
 
     /// Decodes a binary frame payload.
-    pub fn decode(mut frame: Bytes) -> Result<Self, CodecError> {
-        let id = get_u64(&mut frame)?;
-        let body = match get_u8(&mut frame)? {
+    pub fn decode(frame: Vec<u8>) -> Result<Self, CodecError> {
+        let mut r = Reader::new(&frame);
+        let id = r.u64()?;
+        let body = match r.u8()? {
             REP_JOINED => ServeReplyBody::Joined {
-                user: get_u64(&mut frame)?,
-                slots: get_u64(&mut frame)?,
+                user: r.u64()?,
+                slots: r.u64()?,
             },
-            REP_LEFT => ServeReplyBody::Left {
-                slots: get_u64(&mut frame)?,
-            },
+            REP_LEFT => ServeReplyBody::Left { slots: r.u64()? },
             REP_RESPONDED => ServeReplyBody::Responded {
-                moved: match get_u8(&mut frame)? {
+                moved: match r.u8()? {
                     0 => false,
                     1 => true,
                     _ => return Err(CodecError("malformed bool")),
                 },
             },
             REP_STATS => ServeReplyBody::Stats {
-                users: get_u64(&mut frame)?,
-                slots: get_u64(&mut frame)?,
-                phi: get_f64(&mut frame)?,
+                users: r.u64()?,
+                slots: r.u64()?,
+                phi: r.f64()?,
             },
             REP_SHUTTING_DOWN => ServeReplyBody::ShuttingDown,
             REP_REJECTED => ServeReplyBody::Rejected {
-                reason: RejectReason::from_code(get_u8(&mut frame)?)?,
+                reason: RejectReason::from_code(r.u8()?)?,
             },
             _ => return Err(CodecError("unknown serve reply tag")),
         };
-        finish(frame, ServeReply { id, body })
+        r.finish()?;
+        Ok(ServeReply { id, body })
     }
 }
 
@@ -386,35 +347,35 @@ mod tests {
 
     #[test]
     fn hostile_frames_fail_without_panicking() {
-        assert!(ServeRequest::decode(Bytes::new()).is_err());
-        assert!(ServeReply::decode(Bytes::new()).is_err());
+        assert!(ServeRequest::decode(Vec::new()).is_err());
+        assert!(ServeReply::decode(Vec::new()).is_err());
         for msg in requests() {
             let full = msg.encode();
             // Every strict prefix is a truncation error.
             for cut in 0..full.len() {
-                assert!(ServeRequest::decode(full.slice(0..cut)).is_err());
+                assert!(ServeRequest::decode(full[0..cut].to_vec()).is_err());
             }
             // Trailing garbage is rejected.
-            let mut long = full.as_ref().to_vec();
+            let mut long = full.clone();
             long.push(0xFF);
-            assert!(ServeRequest::decode(Bytes::from(long)).is_err());
+            assert!(ServeRequest::decode(long).is_err());
         }
         // Unknown tags.
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         buf.put_u64(1);
         buf.put_u8(0xEE);
-        assert!(ServeRequest::decode(buf.clone().freeze()).is_err());
-        assert!(ServeReply::decode(buf.freeze()).is_err());
+        assert!(ServeRequest::decode(buf.clone()).is_err());
+        assert!(ServeReply::decode(buf).is_err());
         // Malformed bool and reject code.
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         buf.put_u64(1);
         buf.put_u8(REP_RESPONDED);
         buf.put_u8(7);
-        assert!(ServeReply::decode(buf.freeze()).is_err());
-        let mut buf = BytesMut::new();
+        assert!(ServeReply::decode(buf).is_err());
+        let mut buf = Vec::new();
         buf.put_u64(1);
         buf.put_u8(REP_REJECTED);
         buf.put_u8(0);
-        assert!(ServeReply::decode(buf.freeze()).is_err());
+        assert!(ServeReply::decode(buf).is_err());
     }
 }

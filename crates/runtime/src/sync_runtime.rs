@@ -171,7 +171,7 @@ impl InProcess {
                 continue; // timeout ⇒ retransmit
             }
             let msg = obs.time(SpanKind::FrameDecode, || {
-                PlatformMsg::decode(frame).expect("self-encoded frame decodes")
+                PlatformMsg::decode(&frame).expect("self-encoded frame decodes")
             });
             let agent = self.agents[user.index()]
                 .as_mut()
@@ -182,7 +182,7 @@ impl InProcess {
                 continue; // reply lost ⇒ the platform re-sends the request
             }
             return Some(obs.time(SpanKind::FrameDecode, || {
-                UserMsg::decode(frame).expect("self-encoded frame decodes")
+                UserMsg::decode(&frame).expect("self-encoded frame decodes")
             }));
         }
     }
@@ -199,7 +199,7 @@ impl Link for InProcess {
                 self.attempt(&mut attempts, id, wire);
                 let frame = agent.initial_message().encode();
                 if self.leg(id, PLATFORM_SENDER, frame.len(), wire) {
-                    break UserMsg::decode(frame).expect("self-encoded frame decodes");
+                    break UserMsg::decode(&frame).expect("self-encoded frame decodes");
                 }
             }
         });

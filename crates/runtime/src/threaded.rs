@@ -1,7 +1,8 @@
 //! Multi-threaded runtime: one OS thread per user agent plus the platform on
-//! the calling thread, exchanging **encoded byte frames** over crossbeam
-//! channels — the in-process analogue of the networked deployment the paper
-//! sketches (each user's smartphone runs Alg. 1, the platform runs Alg. 2).
+//! the calling thread, exchanging **encoded byte frames** over
+//! `std::sync::mpsc` channels — the in-process analogue of the networked
+//! deployment the paper sketches (each user's smartphone runs Alg. 1, the
+//! platform runs Alg. 2).
 //!
 //! The protocol is slot-synchronous: the platform sends a round of frames,
 //! then waits for exactly the replies that round elicits. Replies are
@@ -15,12 +16,14 @@ use crate::driver::{Driver, Link, Wire};
 use crate::platform::SchedulerKind;
 use crate::protocol::{PlatformMsg, UserMsg};
 use crate::sync_runtime::{ChurnOutcome, RuntimeOutcome};
-use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::thread::JoinHandle;
 use vcs_core::ids::UserId;
 use vcs_core::{ChurnEvent, Game};
 use vcs_obs::{Obs, SpanKind, PLATFORM_SENDER};
+
+/// One encoded protocol frame, moved (never shared) across a channel.
+type Frame = Vec<u8>;
 
 /// Runs the agent event loop on its own thread until `Terminate`.
 /// `announce` sends the initial decision first (Alg. 1 line 4) — start-up
@@ -28,8 +31,8 @@ use vcs_obs::{Obs, SpanKind, PLATFORM_SENDER};
 /// choice inside the `Join` frame.
 fn agent_thread(
     mut agent: UserAgent,
-    inbox: Receiver<Bytes>,
-    outbox: Sender<(UserId, Bytes)>,
+    inbox: Receiver<Frame>,
+    outbox: Sender<(UserId, Frame)>,
     announce: bool,
 ) {
     if announce {
@@ -38,7 +41,7 @@ fn agent_thread(
             .expect("platform inbox open");
     }
     while let Ok(frame) = inbox.recv() {
-        let msg = PlatformMsg::decode(frame).expect("well-formed platform frame");
+        let msg = PlatformMsg::decode(&frame).expect("well-formed platform frame");
         let terminate = matches!(msg, PlatformMsg::Terminate);
         if let Some(reply) = agent.handle(msg) {
             outbox
@@ -60,14 +63,14 @@ fn elicits_reply(msg: &PlatformMsg) -> bool {
 /// The threaded link: each live agent's mailbox and thread, and the shared
 /// platform inbox every agent replies to.
 struct Threads {
-    agents: Vec<Option<(Sender<Bytes>, JoinHandle<()>)>>,
-    inbox: Receiver<(UserId, Bytes)>,
-    outbox: Sender<(UserId, Bytes)>,
+    agents: Vec<Option<(Sender<Frame>, JoinHandle<()>)>>,
+    inbox: Receiver<(UserId, Frame)>,
+    outbox: Sender<(UserId, Frame)>,
 }
 
 impl Threads {
     fn new() -> Self {
-        let (outbox, inbox) = unbounded();
+        let (outbox, inbox) = channel();
         Self {
             agents: Vec::new(),
             inbox,
@@ -79,7 +82,7 @@ impl Threads {
     /// id order.
     fn collect(&self, n: usize, wire: &mut Wire) -> Vec<(UserId, UserMsg)> {
         let obs = wire.obs;
-        let mut frames: Vec<(UserId, Bytes)> = (0..n)
+        let mut frames: Vec<(UserId, Frame)> = (0..n)
             .map(|_| {
                 obs.time(SpanKind::ChannelWait, || {
                     self.inbox.recv().expect("agents alive")
@@ -92,7 +95,7 @@ impl Threads {
             .map(|(user, frame)| {
                 wire.frame(user.index() as u32, PLATFORM_SENDER, frame.len());
                 let msg = obs.time(SpanKind::FrameDecode, || {
-                    UserMsg::decode(frame).expect("well-formed user frame")
+                    UserMsg::decode(&frame).expect("well-formed user frame")
                 });
                 (user, msg)
             })
@@ -103,7 +106,7 @@ impl Threads {
 impl Link for Threads {
     fn admit(&mut self, agent: UserAgent, announce: bool, wire: &mut Wire) -> Option<UserMsg> {
         debug_assert_eq!(self.agents.len(), agent.id.index());
-        let (to_agent, inbox) = unbounded();
+        let (to_agent, inbox) = channel();
         let outbox = self.outbox.clone();
         let handle = std::thread::spawn(move || agent_thread(agent, inbox, outbox, announce));
         self.agents.push(Some((to_agent, handle)));

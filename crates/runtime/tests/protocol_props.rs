@@ -1,7 +1,6 @@
 //! Property-based tests of the wire protocol: total decoding (no panics on
 //! arbitrary bytes) and lossless round-trips for arbitrary messages.
 
-use bytes::Bytes;
 use proptest::prelude::*;
 use vcs_core::ids::{RouteId, TaskId, UserId};
 use vcs_runtime::{PlatformMsg, UserMsg};
@@ -65,25 +64,25 @@ proptest! {
     #[test]
     fn platform_roundtrip(msg in arb_platform_msg()) {
         let frame = msg.encode();
-        prop_assert_eq!(PlatformMsg::decode(frame).unwrap(), msg);
+        prop_assert_eq!(PlatformMsg::decode(&frame).unwrap(), msg);
     }
 
     #[test]
     fn user_roundtrip(msg in arb_user_msg()) {
         let frame = msg.encode();
-        prop_assert_eq!(UserMsg::decode(frame).unwrap(), msg);
+        prop_assert_eq!(UserMsg::decode(&frame).unwrap(), msg);
     }
 
     /// Decoding arbitrary byte garbage never panics; it either errors or
     /// yields a message that re-encodes to a decodable frame.
     #[test]
     fn decoding_is_total(bytes in prop::collection::vec(any::<u8>(), 0..64)) {
-        let frame = Bytes::from(bytes);
-        if let Ok(msg) = PlatformMsg::decode(frame.clone()) {
-            prop_assert!(PlatformMsg::decode(msg.encode()).is_ok());
+        let frame = &bytes;
+        if let Ok(msg) = PlatformMsg::decode(frame) {
+            prop_assert!(PlatformMsg::decode(&msg.encode()).is_ok());
         }
         if let Ok(msg) = UserMsg::decode(frame) {
-            prop_assert!(UserMsg::decode(msg.encode()).is_ok());
+            prop_assert!(UserMsg::decode(&msg.encode()).is_ok());
         }
     }
 
@@ -93,7 +92,7 @@ proptest! {
     fn truncations_rejected(msg in arb_user_msg(), cut in 0usize..64) {
         let frame = msg.encode();
         prop_assume!(cut < frame.len());
-        let truncated = frame.slice(0..cut);
+        let truncated = &frame[0..cut];
         if let Ok(decoded) = UserMsg::decode(truncated) {
             // The only way a prefix decodes is if it is itself a complete
             // frame of a *different* message — impossible with this codec

@@ -13,7 +13,7 @@ use vcs_runtime::{PlatformState, SchedulerKind, UserMsg};
 /// Decodes a frame end-to-end first, as the runtimes do, so the tests cover
 /// the real wire → platform path rather than hand-built messages.
 fn roundtrip(msg: UserMsg) -> UserMsg {
-    UserMsg::decode(msg.encode()).expect("well-formed frame decodes")
+    UserMsg::decode(&msg.encode()).expect("well-formed frame decodes")
 }
 
 #[test]

@@ -24,6 +24,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::BTreeMap;
 use std::fmt;
+use vcs_obs::wire::{Reader, WireError, Writer};
 
 /// Wire magic of every ARQ datagram: "VCSD" (VCS Datagram).
 pub const DGRAM_MAGIC: [u8; 4] = *b"VCSD";
@@ -109,14 +110,13 @@ impl Datagram {
         );
         let mut out = Vec::with_capacity(DGRAM_HEADER + self.payload.len());
         out.extend_from_slice(&DGRAM_MAGIC);
-        out.push(match self.kind {
+        out.put_u8(match self.kind {
             DgramKind::Data => 0,
             DgramKind::Ack => 1,
             DgramKind::Nak => 2,
         });
-        out.extend_from_slice(&self.seq.to_be_bytes());
-        out.extend_from_slice(&(self.payload.len() as u32).to_be_bytes());
-        out.extend_from_slice(&self.payload);
+        out.put_u64(self.seq);
+        out.put_prefixed(&self.payload);
         out
     }
 
@@ -126,22 +126,24 @@ impl Datagram {
         if bytes.len() < DGRAM_HEADER {
             return Err(DgramError::Short(bytes.len()));
         }
-        let magic: [u8; 4] = bytes[0..4].try_into().expect("length checked");
+        let mut r = Reader::new(bytes);
+        let header = |r: &mut Reader<'_>| -> Result<_, WireError> {
+            Ok((r.array()?, r.u8()?, r.u64()?, r.u32()? as usize))
+        };
+        let (magic, kind, seq, promised) = header(&mut r).expect("length checked");
         if magic != DGRAM_MAGIC {
             return Err(DgramError::BadMagic(magic));
         }
-        let kind = match bytes[4] {
+        let kind = match kind {
             0 => DgramKind::Data,
             1 => DgramKind::Ack,
             2 => DgramKind::Nak,
             k => return Err(DgramError::BadKind(k)),
         };
-        let seq = u64::from_be_bytes(bytes[5..13].try_into().expect("in range"));
-        let promised = u32::from_be_bytes(bytes[13..17].try_into().expect("in range")) as usize;
         if promised > MAX_DGRAM_PAYLOAD {
             return Err(DgramError::Oversize(promised));
         }
-        let actual = bytes.len() - DGRAM_HEADER;
+        let actual = r.remaining();
         if promised != actual {
             return Err(DgramError::BadLength { promised, actual });
         }

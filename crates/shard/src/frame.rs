@@ -18,6 +18,7 @@
 //! [`Engine::apply_remote_move`]: vcs_core::Engine::apply_remote_move
 
 use std::fmt;
+use vcs_obs::wire::{Reader, WireError, Writer};
 
 /// Wire magic: "VCSB" (VCS Boundary).
 const MAGIC: [u8; 4] = *b"VCSB";
@@ -70,15 +71,15 @@ impl std::error::Error for FrameError {}
 impl BoundaryFrame {
     /// Serializes the frame to its fixed wire layout.
     pub fn encode(&self) -> [u8; FRAME_LEN] {
-        let mut out = [0u8; FRAME_LEN];
-        out[0..4].copy_from_slice(&MAGIC);
-        out[4..8].copy_from_slice(&self.shard.to_be_bytes());
-        out[8..12].copy_from_slice(&self.user.to_be_bytes());
-        out[12..16].copy_from_slice(&self.from_route.to_be_bytes());
-        out[16..20].copy_from_slice(&self.to_route.to_be_bytes());
-        out[20..28].copy_from_slice(&self.seq.to_be_bytes());
-        out[28..36].copy_from_slice(&self.lamport.to_be_bytes());
-        out
+        let mut out = Vec::with_capacity(FRAME_LEN);
+        out.extend_from_slice(&MAGIC);
+        out.put_u32(self.shard);
+        out.put_u32(self.user);
+        out.put_u32(self.from_route);
+        out.put_u32(self.to_route);
+        out.put_u64(self.seq);
+        out.put_u64(self.lamport);
+        out.try_into().expect("FRAME_LEN bytes")
     }
 
     /// Decodes a frame, rejecting wrong lengths and magic mismatches.
@@ -86,22 +87,24 @@ impl BoundaryFrame {
         if bytes.len() != FRAME_LEN {
             return Err(FrameError::BadLength(bytes.len()));
         }
-        let magic: [u8; 4] = bytes[0..4].try_into().expect("length checked");
+        let mut r = Reader::new(bytes);
+        let read = |r: &mut Reader<'_>| -> Result<_, WireError> {
+            let magic = r.array()?;
+            let frame = BoundaryFrame {
+                shard: r.u32()?,
+                user: r.u32()?,
+                from_route: r.u32()?,
+                to_route: r.u32()?,
+                seq: r.u64()?,
+                lamport: r.u64()?,
+            };
+            Ok((magic, frame))
+        };
+        let (magic, frame) = read(&mut r).expect("length checked");
         if magic != MAGIC {
             return Err(FrameError::BadMagic(magic));
         }
-        let u32_at =
-            |at: usize| u32::from_be_bytes(bytes[at..at + 4].try_into().expect("in range"));
-        let u64_at =
-            |at: usize| u64::from_be_bytes(bytes[at..at + 8].try_into().expect("in range"));
-        Ok(BoundaryFrame {
-            shard: u32_at(4),
-            user: u32_at(8),
-            from_route: u32_at(12),
-            to_route: u32_at(16),
-            seq: u64_at(20),
-            lamport: u64_at(28),
-        })
+        Ok(frame)
     }
 }
 

@@ -28,7 +28,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use vcs_obs::LatencyHistogram;
@@ -197,7 +196,7 @@ pub fn run_loadgen(opts: &LoadgenOptions) -> io::Result<LoadReport> {
                 match frames.read_frame(&mut r) {
                     Ok(payload) => {
                         let now = Instant::now();
-                        let Ok(reply) = ServeReply::decode(Bytes::from(payload)) else {
+                        let Ok(reply) = ServeReply::decode(payload) else {
                             return; // desynchronized server: stop reading
                         };
                         let mut s = shared.lock().expect("loadgen state");
@@ -264,7 +263,7 @@ pub fn run_loadgen(opts: &LoadgenOptions) -> io::Result<LoadReport> {
             .expect("loadgen state")
             .pending
             .insert(id, scheduled);
-        write_frame(stream, ServeRequest { id, body }.encode().as_ref())?;
+        write_frame(stream, &ServeRequest { id, body }.encode())?;
         Ok(id)
     };
 
@@ -332,7 +331,7 @@ pub fn run_loadgen(opts: &LoadgenOptions) -> io::Result<LoadReport> {
             id: next_id,
             body: ServeRequestBody::Shutdown,
         };
-        write_frame(&mut stream, shutdown.encode().as_ref())?;
+        write_frame(&mut stream, &shutdown.encode())?;
         // Best-effort: read the acknowledgement so the server's reply
         // write does not race the socket teardown.
         let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));

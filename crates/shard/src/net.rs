@@ -25,6 +25,7 @@ use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs, UdpSocket};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
+use vcs_obs::wire::{Reader, WireError, Writer};
 use vcs_obs::{Event, NetStats, Obs};
 use vcs_runtime::net::{connect_with_backoff, read_frame, write_frame};
 
@@ -191,64 +192,32 @@ impl std::fmt::Display for CtrlError {
 
 impl std::error::Error for CtrlError {}
 
-struct Cursor<'a> {
-    buf: &'a [u8],
-    at: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn u8(&mut self) -> Result<u8, CtrlError> {
-        let v = *self.buf.get(self.at).ok_or(CtrlError::Truncated)?;
-        self.at += 1;
-        Ok(v)
-    }
-
-    fn u32(&mut self) -> Result<u32, CtrlError> {
-        let end = self.at.checked_add(4).ok_or(CtrlError::Truncated)?;
-        let bytes = self.buf.get(self.at..end).ok_or(CtrlError::Truncated)?;
-        self.at = end;
-        Ok(u32::from_be_bytes(bytes.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self) -> Result<u64, CtrlError> {
-        let end = self.at.checked_add(8).ok_or(CtrlError::Truncated)?;
-        let bytes = self.buf.get(self.at..end).ok_or(CtrlError::Truncated)?;
-        self.at = end;
-        Ok(u64::from_be_bytes(bytes.try_into().expect("8 bytes")))
-    }
-
-    /// Length-guarded vector header: validates that `promised` entries of
-    /// `entry_size` bytes fit in the remaining buffer *before* allocating.
-    fn len(&mut self, entry_size: usize) -> Result<usize, CtrlError> {
-        let promised = self.u32()? as usize;
-        let possible = (self.buf.len() - self.at) / entry_size.max(1);
-        if promised > possible {
-            return Err(CtrlError::BadLength { promised, possible });
+impl From<WireError> for CtrlError {
+    fn from(e: WireError) -> Self {
+        match e {
+            WireError::Truncated { at: 0 } => CtrlError::Empty,
+            WireError::Truncated { .. } => CtrlError::Truncated,
+            WireError::BadLength {
+                promised, possible, ..
+            } => CtrlError::BadLength { promised, possible },
+            WireError::Trailing { left, .. } => CtrlError::TrailingBytes(left),
         }
-        Ok(promised)
-    }
-
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8], CtrlError> {
-        let end = self.at.checked_add(n).ok_or(CtrlError::Truncated)?;
-        let bytes = self.buf.get(self.at..end).ok_or(CtrlError::Truncated)?;
-        self.at = end;
-        Ok(bytes)
     }
 }
 
 fn put_pairs(out: &mut Vec<u8>, pairs: &[(u32, u32)]) {
-    out.extend_from_slice(&(pairs.len() as u32).to_be_bytes());
+    out.put_len(pairs.len());
     for &(a, b) in pairs {
-        out.extend_from_slice(&a.to_be_bytes());
-        out.extend_from_slice(&b.to_be_bytes());
+        out.put_u32(a);
+        out.put_u32(b);
     }
 }
 
-fn get_pairs(c: &mut Cursor<'_>) -> Result<Vec<(u32, u32)>, CtrlError> {
-    let n = c.len(8)?;
+fn get_pairs(r: &mut Reader<'_>) -> Result<Vec<(u32, u32)>, WireError> {
+    let n = r.len(8)?;
     let mut out = Vec::with_capacity(n);
     for _ in 0..n {
-        out.push((c.u32()?, c.u32()?));
+        out.push((r.u32()?, r.u32()?));
     }
     Ok(out)
 }
@@ -260,16 +229,16 @@ impl CtrlMsg {
         let mut out = Vec::with_capacity(16);
         match self {
             CtrlMsg::Hello { shard, ckpt_round } => {
-                out.push(1);
-                out.extend_from_slice(&shard.to_be_bytes());
-                out.extend_from_slice(&ckpt_round.to_be_bytes());
+                out.put_u8(1);
+                out.put_u32(*shard);
+                out.put_u32(*ckpt_round);
             }
             CtrlMsg::RunInterior { round } => {
-                out.push(2);
-                out.extend_from_slice(&round.to_be_bytes());
+                out.put_u8(2);
+                out.put_u32(*round);
             }
             CtrlMsg::InteriorPart { moves } => {
-                out.push(3);
+                out.put_u8(3);
                 put_pairs(&mut out, moves);
             }
             CtrlMsg::InteriorDone {
@@ -278,59 +247,57 @@ impl CtrlMsg {
                 slots,
                 moves,
             } => {
-                out.push(4);
-                out.extend_from_slice(&round.to_be_bytes());
-                out.push(u8::from(*converged));
-                out.extend_from_slice(&slots.to_be_bytes());
-                out.extend_from_slice(&moves.to_be_bytes());
+                out.put_u8(4);
+                out.put_u32(*round);
+                out.put_u8(u8::from(*converged));
+                out.put_u64(*slots);
+                out.put_u32(*moves);
             }
             CtrlMsg::BestRespond { user } => {
-                out.push(5);
-                out.extend_from_slice(&user.to_be_bytes());
+                out.put_u8(5);
+                out.put_u32(*user);
             }
             CtrlMsg::Routes { user, routes } => {
-                out.push(6);
-                out.extend_from_slice(&user.to_be_bytes());
-                out.extend_from_slice(&(routes.len() as u32).to_be_bytes());
-                for r in routes {
-                    out.extend_from_slice(&r.to_be_bytes());
+                out.put_u8(6);
+                out.put_u32(*user);
+                out.put_len(routes.len());
+                for &r in routes {
+                    out.put_u32(r);
                 }
             }
             CtrlMsg::Commit { user, route } => {
-                out.push(7);
-                out.extend_from_slice(&user.to_be_bytes());
-                out.extend_from_slice(&route.to_be_bytes());
+                out.put_u8(7);
+                out.put_u32(*user);
+                out.put_u32(*route);
             }
             CtrlMsg::Committed { frame } => {
-                out.push(8);
-                out.extend_from_slice(&(frame.len() as u32).to_be_bytes());
-                out.extend_from_slice(frame);
+                out.put_u8(8);
+                out.put_prefixed(frame);
             }
             CtrlMsg::Apply { frame } => {
-                out.push(9);
-                out.extend_from_slice(&(frame.len() as u32).to_be_bytes());
-                out.extend_from_slice(frame);
+                out.put_u8(9);
+                out.put_prefixed(frame);
             }
             CtrlMsg::Applied { seq } => {
-                out.push(10);
-                out.extend_from_slice(&seq.to_be_bytes());
+                out.put_u8(10);
+                out.put_u64(*seq);
             }
             CtrlMsg::FrameGap { shard, from_seq } => {
-                out.push(11);
-                out.extend_from_slice(&shard.to_be_bytes());
-                out.extend_from_slice(&from_seq.to_be_bytes());
+                out.put_u8(11);
+                out.put_u32(*shard);
+                out.put_u64(*from_seq);
             }
             CtrlMsg::Checkpoint { round } => {
-                out.push(12);
-                out.extend_from_slice(&round.to_be_bytes());
+                out.put_u8(12);
+                out.put_u32(*round);
             }
             CtrlMsg::CheckpointDone { round } => {
-                out.push(13);
-                out.extend_from_slice(&round.to_be_bytes());
+                out.put_u8(13);
+                out.put_u32(*round);
             }
-            CtrlMsg::Finish => out.push(14),
+            CtrlMsg::Finish => out.put_u8(14),
             CtrlMsg::DonePart { entries } => {
-                out.push(15);
+                out.put_u8(15);
                 put_pairs(&mut out, entries);
             }
             CtrlMsg::Done {
@@ -339,16 +306,15 @@ impl CtrlMsg {
                 slots,
                 entries,
             } => {
-                out.push(16);
-                out.extend_from_slice(&shard.to_be_bytes());
-                out.extend_from_slice(&alerts.to_be_bytes());
-                out.extend_from_slice(&slots.to_be_bytes());
-                out.extend_from_slice(&entries.to_be_bytes());
+                out.put_u8(16);
+                out.put_u32(*shard);
+                out.put_u64(*alerts);
+                out.put_u64(*slots);
+                out.put_u32(*entries);
             }
             CtrlMsg::Telemetry { bytes } => {
-                out.push(17);
-                out.extend_from_slice(&(bytes.len() as u32).to_be_bytes());
-                out.extend_from_slice(bytes);
+                out.put_u8(17);
+                out.put_prefixed(bytes);
             }
         }
         out
@@ -357,68 +323,65 @@ impl CtrlMsg {
     /// Decodes one message, rejecting unknown tags, truncation, hostile
     /// vector lengths, and trailing bytes.
     pub fn decode(buf: &[u8]) -> Result<Self, CtrlError> {
-        let mut c = Cursor { buf, at: 0 };
-        let tag = c.u8().map_err(|_| CtrlError::Empty)?;
-        let msg = match tag {
+        let mut r = Reader::new(buf);
+        let msg = match r.u8()? {
             1 => CtrlMsg::Hello {
-                shard: c.u32()?,
-                ckpt_round: c.u32()?,
+                shard: r.u32()?,
+                ckpt_round: r.u32()?,
             },
-            2 => CtrlMsg::RunInterior { round: c.u32()? },
+            2 => CtrlMsg::RunInterior { round: r.u32()? },
             3 => CtrlMsg::InteriorPart {
-                moves: get_pairs(&mut c)?,
+                moves: get_pairs(&mut r)?,
             },
             4 => CtrlMsg::InteriorDone {
-                round: c.u32()?,
-                converged: c.u8()? != 0,
-                slots: c.u64()?,
-                moves: c.u32()?,
+                round: r.u32()?,
+                converged: r.u8()? != 0,
+                slots: r.u64()?,
+                moves: r.u32()?,
             },
-            5 => CtrlMsg::BestRespond { user: c.u32()? },
+            5 => CtrlMsg::BestRespond { user: r.u32()? },
             6 => {
-                let user = c.u32()?;
-                let n = c.len(4)?;
+                let user = r.u32()?;
+                let n = r.len(4)?;
                 let mut routes = Vec::with_capacity(n);
                 for _ in 0..n {
-                    routes.push(c.u32()?);
+                    routes.push(r.u32()?);
                 }
                 CtrlMsg::Routes { user, routes }
             }
             7 => CtrlMsg::Commit {
-                user: c.u32()?,
-                route: c.u32()?,
+                user: r.u32()?,
+                route: r.u32()?,
             },
             8 => CtrlMsg::Committed {
-                frame: c.len(1).and_then(|n| c.bytes(n))?.to_vec(),
+                frame: r.prefixed()?.to_vec(),
             },
             9 => CtrlMsg::Apply {
-                frame: c.len(1).and_then(|n| c.bytes(n))?.to_vec(),
+                frame: r.prefixed()?.to_vec(),
             },
-            10 => CtrlMsg::Applied { seq: c.u64()? },
+            10 => CtrlMsg::Applied { seq: r.u64()? },
             11 => CtrlMsg::FrameGap {
-                shard: c.u32()?,
-                from_seq: c.u64()?,
+                shard: r.u32()?,
+                from_seq: r.u64()?,
             },
-            12 => CtrlMsg::Checkpoint { round: c.u32()? },
-            13 => CtrlMsg::CheckpointDone { round: c.u32()? },
+            12 => CtrlMsg::Checkpoint { round: r.u32()? },
+            13 => CtrlMsg::CheckpointDone { round: r.u32()? },
             14 => CtrlMsg::Finish,
             15 => CtrlMsg::DonePart {
-                entries: get_pairs(&mut c)?,
+                entries: get_pairs(&mut r)?,
             },
             16 => CtrlMsg::Done {
-                shard: c.u32()?,
-                alerts: c.u64()?,
-                slots: c.u64()?,
-                entries: c.u32()?,
+                shard: r.u32()?,
+                alerts: r.u64()?,
+                slots: r.u64()?,
+                entries: r.u32()?,
             },
             17 => CtrlMsg::Telemetry {
-                bytes: c.len(1).and_then(|n| c.bytes(n))?.to_vec(),
+                bytes: r.prefixed()?.to_vec(),
             },
             t => return Err(CtrlError::BadTag(t)),
         };
-        if c.at != buf.len() {
-            return Err(CtrlError::TrailingBytes(buf.len() - c.at));
-        }
+        r.finish()?;
         Ok(msg)
     }
 }

@@ -49,7 +49,6 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
 use vcs_core::ids::UserId;
 use vcs_obs::{
     elapsed_nanos, Event, FleetStats, MetricsExporter, Obs, RequestKind, ServeMetrics, SloConfig,
@@ -469,7 +468,7 @@ fn handle_conn(stream: TcpStream, state: &ServerState) {
             while let Ok((ingress, ok, reply)) = reply_rx.recv() {
                 let span = obs.span(SpanKind::Reply);
                 let frame = reply.encode();
-                let written = write_frame(&mut w, frame.as_ref()).is_ok();
+                let written = write_frame(&mut w, &frame).is_ok();
                 span.finish();
                 let latency = elapsed_nanos(ingress);
                 serve.observe_reply(ok, latency);
@@ -508,7 +507,7 @@ fn read_loop(mut stream: TcpStream, state: &ServerState, reply_tx: &Sender<Write
             Err(_) => return, // EOF, desync or hostile frame: close.
         };
         let ingress = Instant::now();
-        let ServeRequest { id, body } = match ServeRequest::decode(Bytes::from(payload)) {
+        let ServeRequest { id, body } = match ServeRequest::decode(payload) {
             Ok(r) => r,
             Err(_) => return,
         };
@@ -621,9 +620,9 @@ mod tests {
     }
 
     fn roundtrip(stream: &mut TcpStream, req: &ServeRequest) -> ServeReply {
-        write_frame(stream, req.encode().as_ref()).expect("write request");
+        write_frame(stream, &req.encode()).expect("write request");
         let payload = read_frame(stream).expect("read reply");
-        ServeReply::decode(Bytes::from(payload)).expect("decode reply")
+        ServeReply::decode(payload).expect("decode reply")
     }
 
     #[test]

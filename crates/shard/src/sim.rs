@@ -55,7 +55,6 @@
 
 use crate::frame::{BoundaryFrame, FRAME_LEN};
 use crate::partition::{partition, ShardPlan};
-use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::convert::Infallible;
@@ -192,7 +191,7 @@ impl ShardLane {
         game: &Game,
         plan: &ShardPlan,
         shard: usize,
-        snapshot: Bytes,
+        snapshot: &[u8],
         state: LaneState,
     ) -> Result<Self, SnapshotError> {
         let snapshot = Snapshot::decode(snapshot)?;
@@ -250,7 +249,7 @@ impl ShardLane {
     }
 
     /// The engine snapshot and the rest of the lane's resumable state.
-    pub(crate) fn checkpoint(&self) -> (Bytes, LaneState) {
+    pub(crate) fn checkpoint(&self) -> (Vec<u8>, LaneState) {
         let state = LaneState {
             rng: self.rng.clone(),
             slots: self.slots,
@@ -645,7 +644,7 @@ pub struct ShardedOutcome {
 #[derive(Debug, Clone)]
 pub struct ShardCheckpoint {
     /// Encoded per-shard engine snapshots, shard order.
-    pub shards: Vec<Bytes>,
+    pub shards: Vec<Vec<u8>>,
     lanes: Vec<LaneState>,
     progress: Progress,
 }
@@ -878,7 +877,7 @@ impl ShardedSim {
             .into_iter()
             .zip(checkpoint.lanes)
             .enumerate()
-            .map(|(s, (snapshot, state))| ShardLane::restore(&game, &plan, s, snapshot, state))
+            .map(|(s, (snapshot, state))| ShardLane::restore(&game, &plan, s, &snapshot, state))
             .collect::<Result<_, _>>()?;
         let mut sim = ShardedSim {
             coord: Rounds {

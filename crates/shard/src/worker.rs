@@ -50,7 +50,6 @@ use crate::deploy::DeployConfig;
 use crate::net::{CoordLink, CtrlMsg, TransportKind, CHUNK_PAIRS};
 use crate::partition::{partition, ShardPlan};
 use crate::sim::{initial_profile, FrameApplied, LaneState, ShardLane};
-use bytes::Bytes;
 use rand::rngs::StdRng;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -58,6 +57,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use vcs_core::bounds::slot_upper_bound;
 use vcs_core::ids::{RouteId, UserId};
+use vcs_obs::wire::{Reader, Writer};
 use vcs_obs::{
     FanoutSubscriber, FlightRecorder, JsonlSubscriber, NetStats, Obs, StatsSubscriber, Subscriber,
     TelemetryFrame, WatchdogConfig, WatchdogSubscriber,
@@ -103,72 +103,46 @@ impl WorkerCheckpoint {
         let lane = &self.lane;
         let mut out = Vec::with_capacity(64 + lane.applied.len() * 8 + self.snapshot.len());
         out.extend_from_slice(&CKPT_MAGIC);
-        out.extend_from_slice(&CKPT_VERSION.to_be_bytes());
-        out.extend_from_slice(&self.shard.to_be_bytes());
-        out.extend_from_slice(&self.round.to_be_bytes());
-        out.extend_from_slice(&lane.slots.to_be_bytes());
+        out.put_u16(CKPT_VERSION);
+        out.put_u32(self.shard);
+        out.put_u32(self.round);
+        out.put_u64(lane.slots);
         for word in lane.rng.state() {
-            out.extend_from_slice(&word.to_be_bytes());
+            out.put_u64(word);
         }
-        out.extend_from_slice(&lane.stamp.0.to_be_bytes());
-        out.extend_from_slice(&lane.stamp.1.to_be_bytes());
-        out.extend_from_slice(&self.jsonl_off.to_be_bytes());
-        out.extend_from_slice(&(lane.applied.len() as u32).to_be_bytes());
+        out.put_u64(lane.stamp.0);
+        out.put_u64(lane.stamp.1);
+        out.put_u64(self.jsonl_off);
+        out.put_len(lane.applied.len());
         for &hi in &lane.applied {
-            out.extend_from_slice(&hi.to_be_bytes());
+            out.put_u64(hi);
         }
-        out.extend_from_slice(&(self.snapshot.len() as u64).to_be_bytes());
+        out.put_u64(self.snapshot.len() as u64);
         out.extend_from_slice(&self.snapshot);
         out
     }
 
     pub(crate) fn decode(buf: &[u8]) -> io::Result<Self> {
-        fn bad(msg: &str) -> io::Error {
-            io::Error::new(io::ErrorKind::InvalidData, format!("checkpoint: {msg}"))
-        }
-        fn take<'b>(buf: &'b [u8], at: &mut usize, n: usize) -> io::Result<&'b [u8]> {
-            let end = at.checked_add(n).ok_or_else(|| bad("overflow"))?;
-            let bytes = buf.get(*at..end).ok_or_else(|| bad("truncated"))?;
-            *at = end;
-            Ok(bytes)
-        }
-        let mut at = 0usize;
-        if take(buf, &mut at, 4)? != CKPT_MAGIC {
+        let bad =
+            |msg: &str| io::Error::new(io::ErrorKind::InvalidData, format!("checkpoint: {msg}"));
+        let mut r = Reader::new(buf);
+        if r.array()? != CKPT_MAGIC {
             return Err(bad("bad magic"));
         }
-        let ver = u16::from_be_bytes(take(buf, &mut at, 2)?.try_into().expect("2 bytes"));
-        if ver != CKPT_VERSION {
+        if r.u16()? != CKPT_VERSION {
             return Err(bad("unknown version"));
         }
-        let u32_at = |b: &[u8]| u32::from_be_bytes(b.try_into().expect("4 bytes"));
-        let u64_at = |b: &[u8]| u64::from_be_bytes(b.try_into().expect("8 bytes"));
-        let shard = u32_at(take(buf, &mut at, 4)?);
-        let round = u32_at(take(buf, &mut at, 4)?);
-        let slots = u64_at(take(buf, &mut at, 8)?);
-        let mut rng = [0u64; 4];
-        for word in &mut rng {
-            *word = u64_at(take(buf, &mut at, 8)?);
-        }
-        let stamper_seq = u64_at(take(buf, &mut at, 8)?);
-        let stamper_clock = u64_at(take(buf, &mut at, 8)?);
-        let jsonl_off = u64_at(take(buf, &mut at, 8)?);
-        let n_applied = u32_at(take(buf, &mut at, 4)?) as usize;
-        // Hostile-length guard: promised entries must fit the bytes left.
-        if n_applied > buf.len().saturating_sub(at) / 8 {
-            return Err(bad("applied table overruns buffer"));
-        }
-        let mut applied = Vec::with_capacity(n_applied);
-        for _ in 0..n_applied {
-            applied.push(u64_at(take(buf, &mut at, 8)?));
-        }
-        let snap_len = u64_at(take(buf, &mut at, 8)?) as usize;
-        if snap_len > buf.len().saturating_sub(at) {
-            return Err(bad("snapshot length overruns buffer"));
-        }
-        let snapshot = take(buf, &mut at, snap_len)?.to_vec();
-        if at != buf.len() {
-            return Err(bad("trailing bytes"));
-        }
+        let shard = r.u32()?;
+        let round = r.u32()?;
+        let slots = r.u64()?;
+        let rng = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
+        let stamp = (r.u64()?, r.u64()?);
+        let jsonl_off = r.u64()?;
+        let n_applied = r.len(8)?;
+        let applied = (0..n_applied).map(|_| r.u64()).collect::<Result<_, _>>()?;
+        let snap_len = usize::try_from(r.u64()?).unwrap_or(usize::MAX);
+        let snapshot = r.bytes(snap_len)?.to_vec();
+        r.finish()?;
         Ok(WorkerCheckpoint {
             shard,
             round,
@@ -176,7 +150,7 @@ impl WorkerCheckpoint {
             lane: LaneState {
                 rng: StdRng::from_state(rng),
                 slots,
-                stamp: (stamper_seq, stamper_clock),
+                stamp,
                 applied,
             },
             snapshot,
@@ -243,8 +217,7 @@ impl Worker {
                     ));
                 }
                 let jsonl = Arc::new(JsonlSubscriber::resume_at(&dump_path, ck.jsonl_off)?);
-                let snapshot = Bytes::from(ck.snapshot);
-                let lane = ShardLane::restore(&game, &plan, s, snapshot, ck.lane)
+                let lane = ShardLane::restore(&game, &plan, s, &ck.snapshot, ck.lane)
                     .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("{e:?}")))?;
                 (jsonl, lane, ck.round)
             }
@@ -401,7 +374,7 @@ impl Worker {
             round,
             jsonl_off: self.jsonl.flushed_len()?,
             lane,
-            snapshot: snapshot.as_ref().to_vec(),
+            snapshot,
         };
         ck.write_atomic(&self.ckpt_path)
     }
@@ -480,9 +453,8 @@ pub fn run_worker(cfg: &WorkerConfig) -> io::Result<()> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn checkpoint_codec_round_trips_and_rejects_corruption() {
-        let ck = WorkerCheckpoint {
+    fn sample() -> WorkerCheckpoint {
+        WorkerCheckpoint {
             shard: 2,
             round: 9,
             jsonl_off: 8899,
@@ -493,7 +465,29 @@ mod tests {
                 applied: vec![5, 0, 7],
             },
             snapshot: vec![9u8; 100],
-        };
+        }
+    }
+
+    /// FNV-1a-64 over the encoded length and bytes of a fixed checkpoint,
+    /// recorded before the codec moved onto `vcs_obs::wire`: the on-disk
+    /// layout must not change.
+    #[test]
+    fn checkpoint_bytes_match_their_golden_digest() {
+        let mut ck = sample();
+        ck.lane.rng = StdRng::from_state([u64::MAX, 0, 1 << 63, 0x0123_4567_89ab_cdef]);
+        ck.snapshot = (0..=255u8).collect();
+        let bytes = ck.encode();
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for &b in (bytes.len() as u64).to_le_bytes().iter().chain(&bytes) {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+        assert_eq!(h, 0xff28_91f8_e2e2_0fe4, "{h:#018x}");
+    }
+
+    #[test]
+    fn checkpoint_codec_round_trips_and_rejects_corruption() {
+        let ck = sample();
         let bytes = ck.encode();
         assert_eq!(WorkerCheckpoint::decode(&bytes).unwrap(), ck);
         assert!(WorkerCheckpoint::decode(&bytes[..bytes.len() - 1]).is_err());

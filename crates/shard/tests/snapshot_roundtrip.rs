@@ -82,7 +82,7 @@ proptest! {
         }
 
         let bytes = Snapshot::capture(&engine).encode();
-        let restored = Snapshot::decode(bytes.clone()).expect("own encoding decodes").restore();
+        let restored = Snapshot::decode(&bytes).expect("own encoding decodes").restore();
         prop_assert_eq!(restored.game().users().len(), engine.active_count());
         prop_assert!((restored.potential() - engine.potential()).abs() <= 1e-9);
         let again = Snapshot::capture(&restored).encode();
