@@ -7,17 +7,21 @@
 //! (Alg. 2 line 8), the granted users switch, and the platform refreshes
 //! the participant counts (Alg. 2 line 10). The loop ends when no request
 //! arrives — a Nash equilibrium by construction. The refresh and the
-//! improving set come from [`ResponseCache`]. The grant runs the same
-//! [`crate::scheduler`] functions as the naive driver and the runtime
-//! platform: `suu` over the slot's picks, `buau`/`puu` over borrowed views
-//! whose `B_i` is the engine's current and picked route task lists. The
-//! granted moves commit through [`Engine::apply_batch`]. BATS has a loop of
-//! its own: its users take round-robin turns, so it needs only the cursor
-//! user's response, cached lazily per user.
+//! improving set come from [`ResponseCache`]. SUU (DGRN, BRUN) grants one
+//! uniformly random requester, so the driver draws that requester's rank
+//! first and then only its route: the same joint law over (user, route) as
+//! drawing a route per requester and then the grant, at O(1) draws per
+//! slot. BUAU and PUU (MUUN) read every request, so they draw one route per
+//! requester and run the same [`crate::scheduler`] functions as the naive
+//! driver and the runtime platform, over borrowed views whose `B_i` is the
+//! engine's current and picked route task lists. The granted moves commit
+//! through [`Engine::apply_batch`]. BATS has a loop of its own: its users
+//! take round-robin turns, so it needs only the cursor user's response,
+//! cached lazily per user.
 
 use crate::outcome::{RunOutcome, SlotTrace};
 use crate::request::UpdateRequest;
-use crate::scheduler::{buau, puu, suu, RequestView};
+use crate::scheduler::{buau, cached_request, puu, suu, suu_grant, RequestView};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -124,10 +128,12 @@ pub fn run_distributed(
 /// Per slot the driver re-evaluates only the users whose best responses
 /// the previous slot's moves invalidated ([`ResponseCache::refresh`]) and
 /// records the slot trace from the engine's O(1) running
-/// potential/total-profit. The RNG draw sequence — one `pick` per improving
-/// user in user order, then one scheduler draw — is identical to
-/// [`run_distributed_naive`], so trajectories match the reference bit for
-/// bit (slot-trace floats within `1e-9`).
+/// potential/total-profit. The RNG draw sequence is identical to
+/// [`run_distributed_naive`]'s, so trajectories match the reference bit for
+/// bit (slot-trace floats within `1e-9`): under SUU (DGRN, BRUN) one draw of
+/// the granted requester's rank among the improving users in id order, then
+/// one draw of its route; under BUAU and PUU (MUUN) one `pick` per improving
+/// user in id order and no scheduler draw.
 pub fn run_distributed_observed(
     game: &Game,
     algorithm: DistributedAlgorithm,
@@ -224,10 +230,9 @@ pub fn run_distributed_observed(
                 ResponseKind::Best
             };
             let mut cache = ResponseCache::new(kind, vec![true; m]);
-            // A would-be update request: the picked route and its gain. SUU
-            // reads only the pick count; BUAU and PUU read views whose `B_i`
-            // is the engine's current and picked route task lists, so no
-            // `UpdateRequest` is ever built.
+            // A would-be update request: the picked route and its gain. BUAU
+            // and PUU read views whose `B_i` is the engine's current and
+            // picked route task lists, so no `UpdateRequest` is ever built.
             struct Pick {
                 user: UserId,
                 route: RouteId,
@@ -244,14 +249,11 @@ pub fn run_distributed_observed(
                 // read (~30ns here) is measurable against the <5%
                 // instrumented-overhead budget.
                 let slot_start = obs.enabled().then(std::time::Instant::now);
-                // Alg. 2 line 6: refresh invalidated responses, then collect
-                // requests from users able to improve. `pick` re-draws for
-                // every improving user each slot — cached or not — in id
-                // order, and consumes RNG only for non-empty lists, so the
-                // RNG stream matches the naive driver's full scan exactly.
-                // One span and one `RefreshPass` event cover the whole pass:
-                // a single incremental scan is ~100ns, far below the cost of
-                // timing or emitting per scan.
+                // Alg. 2 line 6: refresh invalidated responses; the users
+                // able to improve are the requesters. One span and one
+                // `RefreshPass` event cover the whole pass: a single
+                // incremental scan is ~100ns, far below the cost of timing
+                // or emitting per scan.
                 let (scans, improving) = cache.refresh(&mut engine);
                 if scans > 0 {
                     if let Some(start) = slot_start {
@@ -267,64 +269,59 @@ pub fn run_distributed_observed(
                         improving,
                     });
                 }
-                picks.clear();
-                for &iu in cache.improving() {
-                    let user = UserId::from_index(iu as usize);
-                    let (route, gain) = match kind {
-                        ResponseKind::Better => *pick(cache.better(user), rng)
-                            .expect("improving ⇒ non-empty better list"),
-                        ResponseKind::Best => {
-                            let response = cache.best(user);
-                            let &route = pick(&response.best_routes, rng)
-                                .expect("improving ⇒ non-empty best set");
-                            (route, response.gain)
-                        }
-                    };
-                    picks.push(Pick { user, route, gain });
-                }
-                if picks.is_empty() {
+                if cache.improving_len() == 0 {
                     converged = true;
                     break; // Alg. 2 line 11: no request ⇒ terminate.
                 }
-                // Alg. 2 line 8: the same schedulers the naive driver runs
-                // over its materialized requests.
                 slots += 1;
-                let granted = match algorithm {
-                    DistributedAlgorithm::Buau | DistributedAlgorithm::Muun => {
-                        let views: Vec<RequestView<'_>> = picks
-                            .iter()
-                            .map(|p| RequestView {
-                                user: p.user,
-                                tau: p.gain / engine.alpha_of(p.user),
-                                tasks: [
-                                    engine.route_task_list(p.user, engine.profile().choice(p.user)),
-                                    engine.route_task_list(p.user, p.route),
-                                ],
-                            })
-                            .collect();
-                        if algorithm == DistributedAlgorithm::Buau {
-                            buau(&views)
-                        } else {
-                            puu(&views)
-                        }
-                    }
-                    _ => suu(&picks, rng),
-                };
-                debug_assert!(!granted.is_empty());
                 batch.clear();
-                for &g in &granted {
-                    let p = &picks[g];
-                    batch.push((p.user, p.route));
-                    updates += 1;
-                    min_improvement = min_improvement.min(p.gain);
+                if let DistributedAlgorithm::Dgrn | DistributedAlgorithm::Brun = algorithm {
+                    // Alg. 2 line 8: the requester first, then its route.
+                    let (user, route, gain) = suu_grant(&cache, rng).expect("a requester");
+                    batch.push((user, route));
+                    min_improvement = min_improvement.min(gain);
+                } else {
+                    // BUAU and PUU read every request: one route per
+                    // requester in id order, then the same schedulers the
+                    // naive driver runs over its materialized requests.
+                    picks.clear();
+                    for iu in cache.iter_improving() {
+                        let user = UserId::from_index(iu);
+                        let (route, gain) =
+                            cached_request(&cache, user, rng).expect("improving ⇒ a response");
+                        picks.push(Pick { user, route, gain });
+                    }
+                    let views: Vec<RequestView<'_>> = picks
+                        .iter()
+                        .map(|p| RequestView {
+                            user: p.user,
+                            tau: p.gain / engine.alpha_of(p.user),
+                            tasks: [
+                                engine.route_task_list(p.user, engine.profile().choice(p.user)),
+                                engine.route_task_list(p.user, p.route),
+                            ],
+                        })
+                        .collect();
+                    let granted = if algorithm == DistributedAlgorithm::Buau {
+                        buau(&views)
+                    } else {
+                        puu(&views)
+                    };
+                    for &g in &granted {
+                        let p = &picks[g];
+                        batch.push((p.user, p.route));
+                        min_improvement = min_improvement.min(p.gain);
+                    }
                 }
+                debug_assert!(!batch.is_empty());
+                updates += batch.len();
                 // PUU grants a pairwise conflict-free set (Theorem 3); a
                 // single grant is trivially one. Only MUUN's batch is timed.
                 let batch_span = (algorithm == DistributedAlgorithm::Muun)
                     .then(|| obs.span(SpanKind::BatchApply));
                 engine.apply_batch(&batch);
                 drop(batch_span);
-                let updated = granted.len();
+                let updated = batch.len();
                 record(&engine, updated, &mut slot_trace, &mut user_profit_trace);
                 if let Some(start) = slot_start {
                     let nanos = elapsed_nanos(start);
@@ -426,52 +423,71 @@ pub fn run_distributed_naive(
             converged = quiet >= m;
         }
         _ => {
-            while slots < config.max_slots {
-                // Alg. 2 line 6: collect requests from users able to improve.
-                let mut requests: Vec<UpdateRequest> = Vec::new();
-                for i in 0..m {
-                    let user = UserId::from_index(i);
-                    match algorithm {
-                        DistributedAlgorithm::Brun => {
-                            let better = better_routes(game, &profile, user);
-                            if let Some(&(route, gain)) = pick(&better, rng) {
-                                requests
-                                    .push(UpdateRequest::build(game, &profile, user, route, gain));
-                            }
-                        }
-                        _ => {
-                            let response = best_route_set(game, &profile, user);
-                            if let Some(route) = pick(&response.best_routes, rng) {
-                                requests.push(UpdateRequest::build(
-                                    game,
-                                    &profile,
-                                    user,
-                                    *route,
-                                    response.gain,
-                                ));
-                            }
-                        }
-                    }
+            // A user's would-be requests: each route of its best set at the
+            // best-response gain, or its better list (BRUN).
+            let options = |profile: &Profile, user: UserId| -> Vec<(RouteId, f64)> {
+                if algorithm == DistributedAlgorithm::Brun {
+                    better_routes(game, profile, user)
+                } else {
+                    let response = best_route_set(game, profile, user);
+                    let gain = response.gain;
+                    response.best_routes.iter().map(|&r| (r, gain)).collect()
                 }
-                if requests.is_empty() {
+            };
+            while slots < config.max_slots {
+                // Alg. 2 line 6: every user able to improve requests.
+                let granted: Vec<(UserId, RouteId, f64)> = match algorithm {
+                    DistributedAlgorithm::Dgrn | DistributedAlgorithm::Brun => {
+                        // Alg. 2 line 8, SUU: find the requesters without an
+                        // RNG draw, grant one, then draw only its route.
+                        let requesters: Vec<(UserId, Vec<(RouteId, f64)>)> = (0..m)
+                            .map(|i| {
+                                let user = UserId::from_index(i);
+                                (user, options(&profile, user))
+                            })
+                            .filter(|(_, routes)| !routes.is_empty())
+                            .collect();
+                        suu(&requesters, rng)
+                            .into_iter()
+                            .map(|g| {
+                                let (user, routes) = &requesters[g];
+                                let &(route, gain) = pick(routes, rng).expect("non-empty");
+                                (*user, route, gain)
+                            })
+                            .collect()
+                    }
+                    _ => {
+                        // BUAU and PUU read every request: one route per
+                        // requester, drawn in user order.
+                        let requests: Vec<UpdateRequest> = (0..m)
+                            .filter_map(|i| {
+                                let user = UserId::from_index(i);
+                                let &(route, gain) = pick(&options(&profile, user), rng)?;
+                                Some(UpdateRequest::build(game, &profile, user, route, gain))
+                            })
+                            .collect();
+                        let views: Vec<RequestView<'_>> =
+                            requests.iter().map(UpdateRequest::view).collect();
+                        let granted = if algorithm == DistributedAlgorithm::Buau {
+                            buau(&views)
+                        } else {
+                            puu(&views)
+                        };
+                        granted
+                            .iter()
+                            .map(|&g| (requests[g].user, requests[g].new_route, requests[g].gain))
+                            .collect()
+                    }
+                };
+                if granted.is_empty() {
                     converged = true;
                     break; // Alg. 2 line 11: no request ⇒ terminate.
                 }
-                let views: Vec<RequestView<'_>> =
-                    requests.iter().map(UpdateRequest::view).collect();
-                let granted: Vec<usize> = match algorithm {
-                    DistributedAlgorithm::Dgrn | DistributedAlgorithm::Brun => suu(&requests, rng),
-                    DistributedAlgorithm::Buau => buau(&views),
-                    DistributedAlgorithm::Muun => puu(&views),
-                    DistributedAlgorithm::Bats => unreachable!("handled above"),
-                };
-                debug_assert!(!granted.is_empty());
                 slots += 1;
-                for &g in &granted {
-                    let req = &requests[g];
-                    profile.apply_move(game, req.user, req.new_route);
+                for &(user, route, gain) in &granted {
+                    profile.apply_move(game, user, route);
                     updates += 1;
-                    min_improvement = min_improvement.min(req.gain);
+                    min_improvement = min_improvement.min(gain);
                 }
                 record(
                     &profile,

@@ -42,4 +42,6 @@ pub use dynamics::{
 pub use outcome::{RunOutcome, SlotTrace};
 pub use request::UpdateRequest;
 pub use rrn::run_rrn;
-pub use scheduler::{buau, optimal_selection, puu, suu, theorem3_bound, RequestView};
+pub use scheduler::{
+    buau, cached_request, optimal_selection, puu, suu, suu_grant, theorem3_bound, RequestView,
+};

@@ -1,13 +1,18 @@
 //! Platform-side user-update schedulers: SUU, BUAU and PUU (Algorithm 3).
 //!
-//! The engine driver, the naive driver and the runtime platform all grant
-//! through these functions. BUAU and PUU read borrowed [`RequestView`]s, so
-//! no caller has to materialize an affected-task set to be scheduled.
+//! The naive driver and the runtime platform grant through [`suu`],
+//! [`buau`] and [`puu`] over the requests they collect. The engine driver
+//! runs the same [`buau`]/[`puu`], and grants SUU through [`suu_grant`]
+//! over its response cache without collecting every request. BUAU and PUU
+//! read borrowed [`RequestView`]s, so no caller has to materialize an
+//! affected-task set to be scheduled.
 
 use crate::request::UpdateRequest;
 use rand::rngs::StdRng;
 use rand::RngExt;
-use vcs_core::ids::{TaskId, UserId};
+use vcs_core::ids::{RouteId, TaskId, UserId};
+use vcs_core::ResponseCache;
+use vcs_obs::ResponseKind;
 
 /// Single User Update: grants the opportunity to one uniformly random
 /// requester per decision slot. Only the request count matters, so any
@@ -17,6 +22,43 @@ pub fn suu<T>(requests: &[T], rng: &mut StdRng) -> Vec<usize> {
         Vec::new()
     } else {
         vec![rng.random_range(0..requests.len())]
+    }
+}
+
+/// SUU over a response cache (Alg. 2 line 8): the granted requester is
+/// uniform among the improving users, so this draws its rank first and then
+/// only its [`cached_request`] — the same joint law over (user, route) as a
+/// request from every improving user followed by [`suu`], in two draws.
+/// `None` when no user can improve.
+pub fn suu_grant(cache: &ResponseCache, rng: &mut StdRng) -> Option<(UserId, RouteId, f64)> {
+    let requesters = cache.improving_len();
+    if requesters == 0 {
+        return None;
+    }
+    let user = UserId::from_index(cache.nth_improving(rng.random_range(0..requesters)));
+    let (route, gain) = cached_request(cache, user, rng).expect("improving ⇒ a response");
+    Some((user, route, gain))
+}
+
+/// The update request `user` would send from its cached response: a
+/// uniformly random route of its best set at the best-response gain, or of
+/// its better list with that route's gain. One RNG draw, or none (and
+/// `None`) when the response is empty.
+pub fn cached_request(
+    cache: &ResponseCache,
+    user: UserId,
+    rng: &mut StdRng,
+) -> Option<(RouteId, f64)> {
+    match cache.kind() {
+        ResponseKind::Best => {
+            let response = cache.best(user);
+            let routes = &response.best_routes;
+            (!routes.is_empty()).then(|| (routes[rng.random_range(0..routes.len())], response.gain))
+        }
+        ResponseKind::Better => {
+            let better = cache.better(user);
+            (!better.is_empty()).then(|| better[rng.random_range(0..better.len())])
+        }
     }
 }
 

@@ -1,6 +1,7 @@
 //! `engine_report` — measures slots/sec of the distributed dynamics with the
-//! incremental engine vs the naive reference driver and writes the table to
-//! `BENCH_engine.json` (repo root by default; pass a path to override).
+//! incremental engine vs the naive reference driver and writes the table,
+//! with the machine's core count (`nproc`) and rayon pool width (`threads`),
+//! to `BENCH_engine.json` (repo root by default; pass a path to override).
 //!
 //! Methodology: per (algorithm, size) both drivers run the *identical*
 //! trajectory (same seed; equivalence is test-enforced), so slots/sec is a
@@ -54,9 +55,11 @@ fn measure(reps: usize, mut run: impl FnMut() -> usize) -> (usize, f64) {
     (slots, best)
 }
 
-fn json_escape_free(rows: &[Row]) -> String {
+/// The report as JSON, with the machine it ran on: `nproc` cores and a
+/// rayon pool of `threads` workers.
+fn json_escape_free(rows: &[Row], nproc: usize, threads: usize) -> String {
     // Hand-formatted JSON: fixed schema, no string content needing escapes.
-    let mut out = String::from("{\n  \"benchmark\": \"run_distributed slots/sec, incremental engine vs naive driver\",\n  \"seed\": 7,\n  \"rows\": [\n");
+    let mut out = format!("{{\n  \"benchmark\": \"run_distributed slots/sec, incremental engine vs naive driver\",\n  \"seed\": 7,\n  \"nproc\": {nproc},\n  \"threads\": {threads},\n  \"rows\": [\n");
     for (i, row) in rows.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"algorithm\": \"{}\", \"users\": {}, \"slots\": {}, \"engine_slots_per_sec\": {:.1}, \"naive_slots_per_sec\": {:.1}, \"speedup\": {:.2}}}{}\n",
@@ -142,7 +145,9 @@ fn main() {
             rows.push(row);
         }
     }
-    std::fs::write(&out_path, json_escape_free(&rows)).expect("write benchmark report");
+    let nproc = std::thread::available_parallelism().map_or(1, |n| n.get());
+    std::fs::write(&out_path, json_escape_free(&rows, nproc, workers))
+        .expect("write benchmark report");
     eprintln!("wrote {out_path}");
     if let Some(path) = prometheus_path {
         let text = stats.prometheus_text();

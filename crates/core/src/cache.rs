@@ -1,9 +1,9 @@
 //! The solver's response cache: each driven user's cached response, the
-//! dirty-set refresh that keeps it valid, and the sorted index of the users
-//! that can improve — the part of Alg. 2's platform loop that the dynamics
-//! driver, the shard lane's interior phase and the online scheduler share.
-//! It holds no RNG and emits no events: each caller keeps its own draw order
-//! and event stream.
+//! dirty-set refresh that keeps it valid, and the id-ordered index of the
+//! users that can improve — the part of Alg. 2's platform loop that the
+//! dynamics driver, the shard lane's interior phase and the online scheduler
+//! share. It holds no RNG and emits no events: each caller keeps its own
+//! draw order and event stream.
 
 use crate::engine::Engine;
 use crate::ids::{RouteId, UserId};
@@ -18,13 +18,13 @@ use vcs_obs::ResponseKind;
 const PAR_REFRESH_MIN: usize = 4096;
 
 /// Cached responses of the users a caller drives, kept valid through the
-/// engine's dirty set, plus the sorted ids of the users that can improve.
+/// engine's dirty set, plus a bitset of the users that can improve.
 ///
 /// Invariant after every [`refresh`](Self::refresh): for each active driven
-/// user the cached response equals a fresh scan, and the user is in
-/// [`improving`](Self::improving) iff that response is non-empty. The index
-/// is sorted by id, so drawing once per improving user in index order uses
-/// the same RNG stream as a full scan of every user in id order.
+/// user the cached response equals a fresh scan, and its improving bit is
+/// set iff that response is non-empty. Improving users rank by id, which
+/// every caller's RNG order relies on: [`nth_improving`](Self::nth_improving)
+/// of a uniform rank below `improving_len()` is a uniform requester.
 #[derive(Debug)]
 pub struct ResponseCache {
     kind: ResponseKind,
@@ -36,14 +36,13 @@ pub struct ResponseCache {
     /// Strictly improving routes with gains (`ResponseKind::Better`);
     /// empty under `Best`.
     better: Vec<Vec<(RouteId, f64)>>,
-    /// Per user: whether its cached response is non-empty.
-    flag: Vec<bool>,
-    /// Sorted ids of the flagged users.
-    improving: Vec<u32>,
+    /// Bit `i % 64` of word `i / 64` is set iff user `i`'s cached response
+    /// is non-empty.
+    improving: Vec<u64>,
+    /// Number of set bits in `improving`.
+    improving_len: usize,
     /// The driven users the last refresh rescanned, in drain order.
     refreshed: Vec<UserId>,
-    /// Users whose flag the last refresh flipped.
-    flips: Vec<u32>,
 }
 
 impl ResponseCache {
@@ -61,10 +60,9 @@ impl ResponseCache {
             driven,
             best,
             better,
-            flag: vec![false; m],
-            improving: Vec::new(),
+            improving: vec![0; m.div_ceil(64)],
+            improving_len: 0,
             refreshed: Vec::new(),
-            flips: Vec::new(),
         }
     }
 
@@ -77,9 +75,8 @@ impl ResponseCache {
     /// Drains the engine's dirty set and rescans the drained users this
     /// cache drives (in parallel for large passes; results land in id
     /// order either way, so the cache contents are deterministic), then
-    /// folds the flag flips into the improving index. Returns `(scans,
-    /// improving)`: how many users were rescanned and how many of them can
-    /// improve.
+    /// sets or clears their improving bits. Returns `(scans, improving)`:
+    /// how many users were rescanned and how many of them can improve.
     pub fn refresh(&mut self, engine: &mut Engine<'_>) -> (u32, u32) {
         engine.take_dirty_into(&mut self.refreshed);
         let driven = &self.driven;
@@ -95,8 +92,6 @@ impl ResponseCache {
                 *out = engine.better_routes(u);
             }),
         }
-        let scans = users.len() as u32;
-        self.flips.clear();
         let mut improving = 0u32;
         for &u in users {
             let i = u.index();
@@ -105,42 +100,16 @@ impl ResponseCache {
                 ResponseKind::Better => !self.better[i].is_empty(),
             };
             improving += u32::from(now);
-            if now != self.flag[i] {
-                self.flag[i] = now;
-                self.flips.push(i as u32);
-            }
+            set_bit(&mut self.improving, &mut self.improving_len, i, now);
         }
-        self.fold_flips();
-        (scans, improving)
-    }
-
-    /// Folds the last refresh's flag flips into the sorted improving index:
-    /// binary-search edits for a few flips, one linear rebuild when a pass
-    /// flipped a large fraction (cold start, bulk churn).
-    fn fold_flips(&mut self) {
-        if self.flips.len() > self.improving.len() / 8 + 32 {
-            let flag = &self.flag;
-            self.improving.clear();
-            self.improving
-                .extend((0..flag.len() as u32).filter(|&i| flag[i as usize]));
-            return;
-        }
-        for &i in &self.flips {
-            match (self.improving.binary_search(&i), self.flag[i as usize]) {
-                (Err(at), true) => self.improving.insert(at, i),
-                (Ok(at), false) => {
-                    self.improving.remove(at);
-                }
-                _ => {}
-            }
-        }
+        (users.len() as u32, improving)
     }
 
     /// Extends the cache by one joining, driven user (the engine's next
     /// id), with an empty response until its first refresh.
     pub fn push_user(&mut self) {
         self.driven.push(true);
-        self.flag.push(false);
+        self.improving.resize(self.driven.len().div_ceil(64), 0);
         match self.kind {
             ResponseKind::Best => self.best.push(BestResponse::default()),
             ResponseKind::Better => self.better.push(Vec::new()),
@@ -148,26 +117,48 @@ impl ResponseCache {
     }
 
     /// Forgets departed `user`: the engine never drains an inactive user
-    /// again, so its cached response and improving flag are dropped here.
+    /// again, so its cached response and improving bit are dropped here.
     pub fn remove_user(&mut self, user: UserId) {
         let i = user.index();
         match self.kind {
             ResponseKind::Best => self.best[i] = BestResponse::default(),
             ResponseKind::Better => self.better[i].clear(),
         }
-        if std::mem::take(&mut self.flag[i]) {
-            let at = self
-                .improving
-                .binary_search(&(i as u32))
-                .expect("a flagged user is indexed");
-            self.improving.remove(at);
-        }
+        set_bit(&mut self.improving, &mut self.improving_len, i, false);
     }
 
-    /// Sorted ids of the driven users whose cached response is non-empty.
+    /// How many driven users have a non-empty cached response.
     #[inline]
-    pub fn improving(&self) -> &[u32] {
-        &self.improving
+    pub fn improving_len(&self) -> usize {
+        self.improving_len
+    }
+
+    /// The `k`-th smallest improving id (from 0): a popcount scan over the
+    /// words, then a select in the word that holds it. Panics unless
+    /// `k < improving_len()`.
+    pub fn nth_improving(&self, k: usize) -> usize {
+        let mut rest = k;
+        for (w, &word) in self.improving.iter().enumerate() {
+            let ones = word.count_ones() as usize;
+            if rest < ones {
+                let word = (0..rest).fold(word, |word, _| word & (word - 1));
+                return w * 64 + word.trailing_zeros() as usize;
+            }
+            rest -= ones;
+        }
+        panic!("no improving user of rank {k}");
+    }
+
+    /// The ids of the improving users, in increasing order.
+    pub fn iter_improving(&self) -> impl Iterator<Item = usize> + '_ {
+        self.improving.iter().enumerate().flat_map(|(w, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                let bit = (rest != 0).then(|| rest.trailing_zeros() as usize)?;
+                rest &= rest - 1;
+                Some(w * 64 + bit)
+            })
+        })
     }
 
     /// The cached best-route set of `user` (`ResponseKind::Best` only).
@@ -188,6 +179,13 @@ impl ResponseCache {
     pub fn refreshed(&self) -> &[UserId] {
         &self.refreshed
     }
+}
+
+/// Sets bit `i` of `words` to `on`, keeping `ones` the count of set bits.
+fn set_bit(words: &mut [u64], ones: &mut usize, i: usize, on: bool) {
+    let (word, bit) = (&mut words[i / 64], 1u64 << (i % 64));
+    *ones = *ones + usize::from(on) - usize::from(*word & bit != 0);
+    *word = if on { *word | bit } else { *word & !bit };
 }
 
 /// Recomputes `slots[u]` for every `u` in `users` with `scan`, on the rayon

@@ -31,6 +31,7 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
+use vcs_algorithms::cached_request;
 use vcs_core::ids::{RouteId, UserId};
 use vcs_core::{apply_churn, is_nash, ChurnEvent, Engine, Game, Profile, ResponseCache};
 use vcs_obs::{Event, Obs, ResponseKind, SpanKind};
@@ -195,9 +196,11 @@ impl Requests {
     ) -> Self {
         let mut requests = Requests::new(algo, standing.len());
         requests.cache.refresh(engine);
-        let improving = requests.cache.improving().iter().map(|&i| i as usize);
         debug_assert!(
-            improving.eq((0..standing.len()).filter(|&i| standing[i].is_some())),
+            requests
+                .cache
+                .iter_improving()
+                .eq((0..standing.len()).filter(|&i| standing[i].is_some())),
             "the adopted requests are exactly the fresh engine's improvers"
         );
         requests.standing = standing;
@@ -221,16 +224,7 @@ impl Requests {
     /// it cannot improve): one RNG draw per improving user, part of the
     /// deterministic trajectory.
     pub(crate) fn draw(&self, user: UserId, rng: &mut StdRng) -> Option<RouteId> {
-        match self.cache.kind() {
-            ResponseKind::Best => {
-                let routes = &self.cache.best(user).best_routes;
-                (!routes.is_empty()).then(|| routes[rng.random_range(0..routes.len())])
-            }
-            ResponseKind::Better => {
-                let better = self.cache.better(user);
-                (!better.is_empty()).then(|| better[rng.random_range(0..better.len())].0)
-            }
-        }
+        cached_request(&self.cache, user, rng).map(|(route, _)| route)
     }
 
     /// Refreshes the responses of every user the engine marked dirty and
@@ -274,8 +268,8 @@ impl Requests {
             // is not a decision slot — the span is cancelled on those paths.
             let slot_span = obs.span(SpanKind::Slot);
             self.refresh(engine, rng, obs);
-            let improving = self.cache.improving();
-            if improving.is_empty() {
+            let improving = self.cache.improving_len();
+            if improving == 0 {
                 slot_span.cancel();
                 return (slots, true);
             }
@@ -283,7 +277,7 @@ impl Requests {
                 slot_span.cancel();
                 return (slots, false);
             }
-            let user = UserId::from_index(improving[rng.random_range(0..improving.len())] as usize);
+            let user = UserId::from_index(self.cache.nth_improving(rng.random_range(0..improving)));
             let route = self.standing[user.index()]
                 .take()
                 .expect("improving user holds a standing request");

@@ -59,6 +59,7 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::convert::Infallible;
 use std::io;
+use vcs_algorithms::suu_grant;
 use vcs_core::bounds::slot_upper_bound;
 use vcs_core::ids::{RouteId, UserId};
 use vcs_core::{Engine, Game, Profile, ResponseCache};
@@ -313,8 +314,7 @@ impl ShardLane {
         let mut done = 0u64;
         loop {
             self.cache.refresh(&mut self.engine);
-            let improving = self.cache.improving();
-            if improving.is_empty() {
+            if self.cache.improving_len() == 0 {
                 self.converged = true;
                 return done;
             }
@@ -325,10 +325,7 @@ impl ShardLane {
 
             // SUU grant: one uniform pick among improving users, then a
             // uniform tie-break among that user's best-route set.
-            let user =
-                UserId::from_index(improving[self.rng.random_range(0..improving.len())] as usize);
-            let routes = &self.cache.best(user).best_routes;
-            let route = routes[self.rng.random_range(0..routes.len())];
+            let (user, route, _) = suu_grant(&self.cache, &mut self.rng).expect("a requester");
             self.engine.apply_move(user, route);
             self.complete_slot();
             done += 1;

@@ -3,14 +3,15 @@
 //! (joiners are always driven) and both response kinds, every refresh must
 //! leave
 //!
-//! * `improving()` equal to the brute-force sorted set of users that are
-//!   active, driven and have a non-empty fresh response, and
+//! * the improving bitset's `improving_len()`, every `nth_improving(k)` and
+//!   `iter_improving()` equal to the brute-force sorted list of users that
+//!   are active, driven and have a non-empty fresh response, and
 //! * each active driven user's cached response equal to a fresh
 //!   `best_route_set` / `better_routes` of the current profile.
 //!
-//! The sequences mix single moves (a few flag flips: the fold's edit path)
-//! with bursts of moves and leaves (many flips: its rebuild path);
-//! `fold_takes_both_paths` checks that both are reached.
+//! The sequences mix single moves with bursts of moves and leaves.
+//! `word_boundaries_and_joins_across_them` pins the bitset's word edges:
+//! pools of 63, 64 and 65 users, and joins that open a new word.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -74,22 +75,12 @@ fn random_engine(rng: &mut StdRng, n_users: usize) -> Engine<'static> {
     Engine::new_owned(game, profile)
 }
 
-/// How often the fold took each path, inferred from the improving sets
-/// around each refresh (the flips are exactly their symmetric difference).
-#[derive(Debug, Default)]
-struct Paths {
-    edits: u32,
-    rebuilds: u32,
-}
-
 /// Refreshes `cache` and checks it against a brute-force recomputation.
 fn refresh_and_check(
     engine: &mut Engine<'_>,
     cache: &mut ResponseCache,
     driven: &[bool],
-    paths: &mut Paths,
 ) -> Result<(), String> {
-    let before: Vec<u32> = cache.improving().to_vec();
     let (scans, improving) = cache.refresh(engine);
     if scans as usize != cache.refreshed().len() {
         return Err(format!(
@@ -127,37 +118,27 @@ fn refresh_and_check(
             }
         };
         if non_empty {
-            expected.push(i as u32);
+            expected.push(i);
         }
     }
-    if cache.improving() != expected.as_slice() {
+    let iterated: Vec<usize> = cache.iter_improving().collect();
+    let ranked: Vec<usize> = (0..cache.improving_len())
+        .map(|k| cache.nth_improving(k))
+        .collect();
+    if iterated != expected || ranked != expected {
         return Err(format!(
-            "improving {:?} != brute force {expected:?}",
-            cache.improving()
+            "iter_improving {iterated:?} / nth_improving {ranked:?} != brute force {expected:?}"
         ));
     }
     let refreshed_improving = cache
         .refreshed()
         .iter()
-        .filter(|u| expected.binary_search(&(u.index() as u32)).is_ok())
+        .filter(|u| expected.binary_search(&u.index()).is_ok())
         .count();
     if improving as usize != refreshed_improving {
         return Err(format!(
             "reported {improving} improving of {refreshed_improving}"
         ));
-    }
-    let flips = before
-        .iter()
-        .filter(|i| expected.binary_search(i).is_err())
-        .count()
-        + expected
-            .iter()
-            .filter(|i| before.binary_search(i).is_err())
-            .count();
-    if flips > before.len() / 8 + 32 {
-        paths.rebuilds += 1;
-    } else if flips > 0 {
-        paths.edits += 1;
     }
     Ok(())
 }
@@ -175,7 +156,7 @@ fn random_move(engine: &mut Engine<'_>, rng: &mut StdRng) {
 
 /// Runs one random sequence of moves, joins, leaves and bursts, checking
 /// the cache after every refresh.
-fn run_sequence(seed: u64, n_users: usize, kind: ResponseKind) -> Result<Paths, String> {
+fn run_sequence(seed: u64, n_users: usize, kind: ResponseKind) -> Result<(), String> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut engine = random_engine(&mut rng, n_users);
     let driven_share = rng.random_range(0.3..1.0);
@@ -183,8 +164,7 @@ fn run_sequence(seed: u64, n_users: usize, kind: ResponseKind) -> Result<Paths, 
         .map(|_| rng.random_bool(driven_share))
         .collect();
     let mut cache = ResponseCache::new(kind, driven.clone());
-    let mut paths = Paths::default();
-    refresh_and_check(&mut engine, &mut cache, &driven, &mut paths)?;
+    refresh_and_check(&mut engine, &mut cache, &driven)?;
     for _ in 0..40 {
         match rng.random_range(0..10u32) {
             0..=3 => random_move(&mut engine, &mut rng),
@@ -214,9 +194,9 @@ fn run_sequence(seed: u64, n_users: usize, kind: ResponseKind) -> Result<Paths, 
             }
             _ => {}
         }
-        refresh_and_check(&mut engine, &mut cache, &driven, &mut paths)?;
+        refresh_and_check(&mut engine, &mut cache, &driven)?;
     }
-    Ok(paths)
+    Ok(())
 }
 
 fn kind_of(better: bool) -> ResponseKind {
@@ -240,17 +220,28 @@ proptest! {
 }
 
 #[test]
-fn fold_takes_both_paths() {
+fn word_boundaries_and_joins_across_them() {
     for better in [false, true] {
-        let mut paths = Paths::default();
-        for seed in 0..8 {
-            let p = run_sequence(seed, 150, kind_of(better)).expect("cache stays exact");
-            paths.edits += p.edits;
-            paths.rebuilds += p.rebuilds;
+        for n_users in [63, 64, 65] {
+            for seed in 0..8 {
+                let outcome = run_sequence(seed, n_users, kind_of(better));
+                assert!(outcome.is_ok(), "seed {seed}, {n_users} users: {outcome:?}");
+            }
         }
-        assert!(
-            paths.edits > 0 && paths.rebuilds > 0,
-            "better = {better}: {paths:?}"
-        );
+        // Every user driven, so each join lands in the bitset: 62 → 67 users
+        // crosses the 64-bit word edge with a refresh after every join.
+        let mut rng = StdRng::seed_from_u64(u64::from(better));
+        let mut engine = random_engine(&mut rng, 62);
+        let mut driven = vec![true; 62];
+        let mut cache = ResponseCache::new(kind_of(better), driven.clone());
+        refresh_and_check(&mut engine, &mut cache, &driven).unwrap();
+        for _ in 0..5 {
+            let (prefs, routes) = random_user(&mut rng);
+            engine.add_user(prefs, routes, RouteId(0)).unwrap();
+            cache.push_user();
+            driven.push(true);
+            refresh_and_check(&mut engine, &mut cache, &driven).unwrap();
+        }
+        assert_eq!(cache.iter_improving().last().map(|i| i >= 64), Some(true));
     }
 }
